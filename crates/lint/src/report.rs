@@ -41,7 +41,7 @@ impl fmt::Display for Diagnostic {
 pub struct Report {
     /// How many files were scanned.
     pub files_scanned: usize,
-    /// All findings, in walk order (deterministic: paths are sorted).
+    /// All findings, sorted by `(path, line, rule, col)`.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -67,7 +67,7 @@ impl Report {
         out
     }
 
-    /// Renders the JSON form (schema `ppm-lint v1`), including the rule
+    /// Renders the JSON form (schema [`SCHEMA`]), including the rule
     /// table so consumers can map names to descriptions.
     pub fn render_json(&self) -> String {
         let diags = self
@@ -93,7 +93,7 @@ impl Report {
             })
             .collect();
         Json::Obj(vec![
-            ("schema".to_string(), Json::Str("ppm-lint v1".to_string())),
+            ("schema".to_string(), Json::Str(SCHEMA.to_string())),
             (
                 "files_scanned".to_string(),
                 Json::Int(self.files_scanned as i64),
@@ -105,6 +105,9 @@ impl Report {
         .dump()
     }
 }
+
+/// The JSON schema version string emitted by [`Report::render_json`].
+pub const SCHEMA: &str = "ppm-lint v2";
 
 #[cfg(test)]
 mod tests {
@@ -139,7 +142,7 @@ mod tests {
         let json = Json::parse(&report.render_json()).expect("valid JSON");
         assert_eq!(
             json.get("schema").and_then(Json::as_str),
-            Some("ppm-lint v1")
+            Some("ppm-lint v2")
         );
         assert_eq!(json.get("files_scanned").and_then(Json::as_i64), Some(3));
         let diags = match json.get("diagnostics") {
@@ -157,7 +160,7 @@ mod tests {
             Some(Json::Arr(items)) => items,
             other => panic!("rules not an array: {other:?}"),
         };
-        assert_eq!(rules_arr.len(), 6);
+        assert_eq!(rules_arr.len(), 11);
     }
 
     #[test]

@@ -350,16 +350,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by whole UTF-8 code points.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or escape at
+                // once: both are ASCII, so the run ends on a code-point
+                // boundary and each input byte is validated only once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| err(*pos, "invalid utf-8 in string"))?;
-                match rest.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
-                }
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -451,6 +452,25 @@ mod tests {
         let original = Json::Str("line\nwith \"quotes\" and \\slash\t".to_string());
         let dumped = original.dump();
         assert_eq!(Json::parse(&dumped).unwrap(), original);
+    }
+
+    #[test]
+    fn multi_megabyte_documents_parse_in_linear_time() {
+        // Thousands of strings mixing multi-byte UTF-8 and escapes: a
+        // parser that re-validates the rest of the input per character
+        // takes minutes here.
+        let items: Vec<Json> = (0..40_000)
+            .map(|i| {
+                Json::Str(format!(
+                    "rec-{i} naïve café → 東京 \"q\"\t{}",
+                    "x".repeat(i % 64)
+                ))
+            })
+            .collect();
+        let doc = Json::Obj(vec![("items".to_string(), Json::Arr(items))]);
+        let text = doc.dump();
+        assert!(text.len() > 3_000_000, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

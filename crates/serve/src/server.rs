@@ -47,7 +47,7 @@ use ppm_live::http::{
     read_request_head, split_query, write_response, write_response_with_headers, MAX_HEAD,
 };
 use ppm_sim::SimConfig;
-use ppm_telemetry::{json_string, Counter, Histogram, Level, Record};
+use ppm_telemetry::{json_string, Counter, Histogram, Level, Record, Registry};
 use ppm_workload::Benchmark;
 
 use crate::chaos::ChaosClients;
@@ -151,8 +151,9 @@ struct Conn {
     seq: u64,
 }
 
-/// Pre-resolved counter handles: the hot path must not take the
-/// registry lock per request.
+/// Pre-resolved counter handles in the server's own registry: the hot
+/// path must not take the registry lock per request, and two servers in
+/// one process must not share counts.
 struct Counters {
     requests: Arc<Counter>,
     ok: Arc<Counter>,
@@ -178,24 +179,24 @@ struct Counters {
 }
 
 impl Counters {
-    fn resolve() -> Self {
+    fn resolve(registry: &Registry) -> Self {
         Counters {
-            requests: ppm_telemetry::counter("serve.requests"),
-            ok: ppm_telemetry::counter("serve.ok"),
-            shed: ppm_telemetry::counter("serve.shed"),
-            degraded: ppm_telemetry::counter("serve.degraded"),
-            deadline_exceeded: ppm_telemetry::counter("serve.deadline_exceeded"),
-            client_errors: ppm_telemetry::counter("serve.client_errors"),
-            reloads: ppm_telemetry::counter("serve.reloads"),
-            reload_failures: ppm_telemetry::counter("serve.reload_failures"),
-            model_failures: ppm_telemetry::counter("serve.model_failures"),
-            latency_us: ppm_telemetry::histogram("serve.latency.us"),
-            shed_queue_full: ppm_telemetry::counter("serve.shed|reason=queue_full"),
-            shed_deadline: ppm_telemetry::counter("serve.shed|reason=deadline"),
-            degraded_no_model: ppm_telemetry::counter("serve.degraded|reason=no_model"),
-            degraded_depth: ppm_telemetry::counter("serve.degraded|reason=degrade_depth"),
-            degraded_fail_streak: ppm_telemetry::counter("serve.degraded|reason=fail_streak"),
-            degraded_eval_failure: ppm_telemetry::counter("serve.degraded|reason=eval_failure"),
+            requests: registry.counter("serve.requests"),
+            ok: registry.counter("serve.ok"),
+            shed: registry.counter("serve.shed"),
+            degraded: registry.counter("serve.degraded"),
+            deadline_exceeded: registry.counter("serve.deadline_exceeded"),
+            client_errors: registry.counter("serve.client_errors"),
+            reloads: registry.counter("serve.reloads"),
+            reload_failures: registry.counter("serve.reload_failures"),
+            model_failures: registry.counter("serve.model_failures"),
+            latency_us: registry.histogram("serve.latency.us"),
+            shed_queue_full: registry.counter("serve.shed|reason=queue_full"),
+            shed_deadline: registry.counter("serve.shed|reason=deadline"),
+            degraded_no_model: registry.counter("serve.degraded|reason=no_model"),
+            degraded_depth: registry.counter("serve.degraded|reason=degrade_depth"),
+            degraded_fail_streak: registry.counter("serve.degraded|reason=fail_streak"),
+            degraded_eval_failure: registry.counter("serve.degraded|reason=eval_failure"),
         }
     }
 }
@@ -240,6 +241,10 @@ struct ServeState {
     sticky: AtomicBool,
     /// Counts predictions taken while sticky, to pace probes.
     probe_tick: AtomicU64,
+    /// This server's instruments: the `serve.*` counters, the latency
+    /// histogram, and the SLO gauges. `/metrics` renders them after the
+    /// process-global snapshot.
+    metrics: Registry,
     counters: Counters,
     /// The tail-sampled request-trace ring; `None` under `--no-trace`.
     trace: Option<TraceRing>,
@@ -279,6 +284,8 @@ impl ServeServer {
             detail: e.to_string(),
         })?;
         let stop = Arc::new(AtomicBool::new(false));
+        let metrics = Registry::new();
+        let counters = Counters::resolve(&metrics);
         let state = Arc::new(ServeState {
             store,
             addr,
@@ -297,7 +304,8 @@ impl ServeServer {
             streak: AtomicU32::new(0),
             sticky: AtomicBool::new(false),
             probe_tick: AtomicU64::new(0),
-            counters: Counters::resolve(),
+            metrics,
+            counters,
             trace: (config.trace && config.trace_ring > 0).then(|| {
                 TraceRing::new(TraceConfig {
                     capacity: config.trace_ring,
@@ -628,8 +636,10 @@ fn handle_connection(state: &Arc<ServeState>, conn: Conn, worker: usize) {
             plain(status, ct, body)
         }
         ("GET", "/metrics") => {
-            state.slo.publish_gauges(unix_now_sec());
-            let text = ppm_live::render_prometheus(&ppm_telemetry::snapshot());
+            state.slo.publish_gauges(unix_now_sec(), &state.metrics);
+            let mut records = ppm_telemetry::snapshot();
+            records.extend(state.metrics.snapshot());
+            let text = ppm_live::render_prometheus(&records);
             // The scrape closes this exemplar window: the next one
             // tracks the worst request *since this scrape*.
             let _ = state.counters.latency_us.take_exemplar();
@@ -1397,10 +1407,16 @@ mod tests {
     #[test]
     fn reload_of_an_empty_registry_is_a_conflict_not_a_crash() {
         let server = ServeServer::start(analytical_config("reload")).unwrap();
+        let bystander = ServeServer::start(analytical_config("reload-bystander")).unwrap();
         let addr = server.addr().to_string();
-        let before = ppm_telemetry::registry()
-            .counter("serve.reload_failures")
-            .get();
+        let reload_failures = |addr: &str| {
+            let (_, body) = http_get(addr, "/statusz", IO_TIMEOUT).unwrap();
+            Json::parse(&body)
+                .unwrap()
+                .get("reload_failures")
+                .and_then(Json::as_i64)
+        };
+        assert_eq!(reload_failures(&addr), Some(0));
         let (status, body) = http_post(&addr, "/reloadz", IO_TIMEOUT).unwrap();
         assert_eq!(status, 409, "{body}");
         let doc = Json::parse(&body).unwrap();
@@ -1409,10 +1425,10 @@ mod tests {
             Some("analytical"),
             "rollback keeps the active version"
         );
-        let after = ppm_telemetry::registry()
-            .counter("serve.reload_failures")
-            .get();
-        assert!(after > before);
+        assert_eq!(reload_failures(&addr), Some(1));
+        // Counters are per server: another one in the same process
+        // counts nothing.
+        assert_eq!(reload_failures(&bystander.addr().to_string()), Some(0));
         // Predictions still work after the failed reload.
         let (status, _) = http_get(&addr, "/predict", IO_TIMEOUT).unwrap();
         assert_eq!(status, 200);

@@ -595,18 +595,24 @@ impl SloTracker {
         s
     }
 
-    /// Publishes the burn rates and budget gauges into the global
-    /// registry (`serve.slo.*`) for `/metrics`.
-    pub fn publish_gauges(&self, now_sec: u64) {
+    /// Publishes the burn rates and budget gauges into `registry`
+    /// (`serve.slo.*`) for `/metrics`.
+    pub fn publish_gauges(&self, now_sec: u64, registry: &ppm_telemetry::Registry) {
         for w in self.windows(now_sec) {
-            ppm_telemetry::gauge(&format!("serve.slo.availability_burn_{}s", w.window_s))
+            registry
+                .gauge(&format!("serve.slo.availability_burn_{}s", w.window_s))
                 .set(w.availability_burn);
-            ppm_telemetry::gauge(&format!("serve.slo.latency_burn_{}s", w.window_s))
+            registry
+                .gauge(&format!("serve.slo.latency_burn_{}s", w.window_s))
                 .set(w.latency_burn);
         }
         let (avail, lat) = self.budget_remaining(now_sec);
-        ppm_telemetry::gauge("serve.slo.availability_budget_remaining").set(avail);
-        ppm_telemetry::gauge("serve.slo.latency_budget_remaining").set(lat);
+        registry
+            .gauge("serve.slo.availability_budget_remaining")
+            .set(avail);
+        registry
+            .gauge("serve.slo.latency_budget_remaining")
+            .set(lat);
     }
 }
 

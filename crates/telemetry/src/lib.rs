@@ -242,7 +242,7 @@ pub fn flush_sinks() {
         // Flushing under the lock is deliberate: it serializes with
         // in-flight dispatch() so the final flush cannot race a record
         // mid-write, and this runs once, at process exit.
-        // analyze:allow(lock-order)
+        // lint:allow(lock-order)
         s.flush();
     }
 }

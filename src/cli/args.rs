@@ -83,6 +83,16 @@ impl Parsed {
     ///
     /// See [`ArgError`].
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
+        let args: Vec<String> = args.into_iter().collect();
+        // `--help` / `-h` anywhere asks for the usage text: `ppm help`.
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(Parsed {
+                command: "help".to_string(),
+                values: BTreeMap::new(),
+                switches: Vec::new(),
+                positionals: Vec::new(),
+            });
+        }
         let mut iter = args.into_iter();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
         if command.starts_with('-') {

@@ -39,9 +39,6 @@ pub enum CliError {
     /// The static-analysis pass found violations (exit code 6) — the
     /// scan itself succeeded; the findings were already printed.
     Lint(usize),
-    /// The semantic-analysis pass found violations (exit code 6, same
-    /// contract as `Lint`: the scan succeeded, findings were printed).
-    Analyze(usize),
     /// The live observability plane could not start or be reached
     /// (exit code 7) — e.g. `--live` bind failures, `ppm top` against
     /// a dead endpoint.
@@ -65,7 +62,7 @@ impl CliError {
             CliError::Simulation(_) => 3,
             CliError::Persistence(_) => 4,
             CliError::Regression(_) => 5,
-            CliError::Lint(_) | CliError::Analyze(_) => 6,
+            CliError::Lint(_) => 6,
             CliError::Live(_) => 7,
             CliError::Serve(_) => 8,
             CliError::Message(_) => 1,
@@ -82,7 +79,6 @@ impl fmt::Display for CliError {
             CliError::Persistence(m) => f.write_str(m),
             CliError::Regression(m) => f.write_str(m),
             CliError::Lint(n) => write!(f, "ppm-lint: {n} finding(s)"),
-            CliError::Analyze(n) => write!(f, "ppm-analyze: {n} finding(s)"),
             CliError::Live(m) => f.write_str(m),
             CliError::Serve(m) => f.write_str(m),
             CliError::Message(m) => f.write_str(m),
@@ -161,7 +157,7 @@ pub fn run_with_artifacts(
     artifacts: &mut RunArtifacts,
 ) -> Result<(), CliError> {
     match parsed.command.as_str() {
-        "help" | "--help" | "-h" => {
+        "help" => {
             out.write_str(crate::cli::USAGE).map_err(msg)?;
             Ok(())
         }
@@ -176,13 +172,14 @@ pub fn run_with_artifacts(
         "check-trace" => flight::check_trace(parsed, out),
         "bench-export" => flight::bench_export(parsed, out),
         "lint" => lint(parsed, out),
-        "analyze" => analyze(parsed, out),
         "top" => top(parsed, out),
         "tail" => tail(parsed, out),
         "serve" => serve(parsed, out),
         "publish" => publish(parsed, out),
         "loadtest" => loadtest(parsed, out),
-        other => Err(msg(format!("unknown command {other:?} (try `ppm help`)"))),
+        other => Err(CliError::Usage(format!(
+            "unknown command {other:?} (try `ppm help`)"
+        ))),
     }
 }
 
@@ -598,13 +595,25 @@ fn benchmarks(out: &mut dyn fmt::Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--instructions`: the trace length, at least one instruction (an
+/// empty trace has no CPI).
+fn instructions_arg(parsed: &Parsed) -> Result<usize, CliError> {
+    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    if instructions == 0 {
+        return Err(CliError::Usage(
+            "--instructions wants at least 1 instruction".to_string(),
+        ));
+    }
+    Ok(instructions)
+}
+
 fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     if parsed.get("--batch").is_some() {
         return simulate_batch(parsed, out);
     }
     let bench = benchmark_arg(parsed)?;
     let config = config_from(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let stats = {
         let _span = ppm_telemetry::span("stage.simulate");
@@ -641,12 +650,12 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
     let lanes: usize = parsed.num("--batch", 0usize)?;
-    if lanes == 0 {
+    if lanes < 2 {
         return Err(CliError::Usage(
-            "--batch wants at least one configuration".to_string(),
+            "--batch wants at least 2 configurations (a Latin-hypercube sample)".to_string(),
         ));
     }
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let space = DesignSpace::paper_table1();
     let mut rng = ppm_rng::Rng::seed_from_u64(seed);
@@ -750,7 +759,12 @@ fn build(
     let bench = benchmark_arg(parsed)?;
     let out_path = parsed.require("--out")?.to_string();
     let sample: usize = parsed.num("--sample", 90)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    if sample < 2 {
+        return Err(CliError::Usage(
+            "--sample wants at least 2 training points (a Latin-hypercube sample)".to_string(),
+        ));
+    }
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let holdout: usize = parsed.num("--holdout", 12)?;
     let train_threads = train_threads_arg(parsed)?;
@@ -866,7 +880,7 @@ fn predict(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 
 fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let space = DesignSpace::paper_table1();
     let response = SimulatorResponse::new(bench, instructions);
     ppm_telemetry::event(
@@ -886,7 +900,7 @@ fn screen(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 
 fn workload_info(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let stats = {
         let _span = ppm_telemetry::span("stage.workload_stats");
@@ -927,7 +941,7 @@ fn workload_info(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliErr
 
 fn firstorder(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let bench = benchmark_arg(parsed)?;
-    let instructions: usize = parsed.num("--instructions", 100_000)?;
+    let instructions = instructions_arg(parsed)?;
     let seed: u64 = parsed.num("--seed", 1u64)?;
     let config = config_from(parsed)?;
     let stats = {
@@ -952,9 +966,10 @@ fn firstorder(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError>
 /// `ppm lint`: the workspace static-analysis pass (see `crates/lint`).
 ///
 /// Flags: `--root <dir>` (default `.`), `--conf <file>` (default
-/// `<root>/scripts/lint.conf` when present), `--format human|json`.
-/// Findings are printed to stdout and exit with code 6, so scripts can
-/// tell "violations found" from a broken scan.
+/// `<root>/scripts/lint.conf` when present), `--format human|json`,
+/// `--rule <name>` to report one rule only. Findings are printed to
+/// stdout and exit with code 6, so scripts can tell "violations found"
+/// from a broken scan.
 fn lint(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     let format = parsed.get("--format").unwrap_or("human");
     if !matches!(format, "human" | "json") {
@@ -962,55 +977,12 @@ fn lint(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
             "unknown lint format {format:?} (human|json)"
         )));
     }
-    let root = Path::new(parsed.get("--root").unwrap_or("."));
-    let persist = |e: &dyn fmt::Display| CliError::Persistence(e.to_string());
-    let conf = match parsed.get("--conf") {
-        Some(path) => ppm_lint::Config::load(Path::new(path)).map_err(|e| persist(&e))?,
-        None => {
-            let default = root.join("scripts").join("lint.conf");
-            if default.is_file() {
-                ppm_lint::Config::load(&default).map_err(|e| persist(&e))?
-            } else {
-                ppm_lint::Config::empty()
-            }
-        }
-    };
-    let report = {
-        let _span = ppm_telemetry::span("stage.lint");
-        ppm_lint::lint_workspace(root, &conf).map_err(|e| persist(&e))?
-    };
-    match format {
-        "json" => writeln!(out, "{}", report.render_json()).map_err(msg)?,
-        _ => out.write_str(&report.render_human()).map_err(msg)?,
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(CliError::Lint(report.diagnostics.len()))
-    }
-}
-
-/// `ppm analyze`: the cross-crate semantic-analysis pass (see
-/// `crates/analyze`): lock-order, atomic-ordering, panic-reachability,
-/// wire-format and exit-code contracts.
-///
-/// Flags: `--root <dir>` (default `.`), `--conf <file>` (default
-/// `<root>/scripts/lint.conf` when present — the allowlist is shared
-/// with `ppm lint`), `--format human|json`, `--rule <name>` to scope
-/// the run to one analysis. Findings exit with code 6, like lint.
-fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let format = parsed.get("--format").unwrap_or("human");
-    if !matches!(format, "human" | "json") {
-        return Err(CliError::Usage(format!(
-            "unknown analyze format {format:?} (human|json)"
-        )));
-    }
     let rule_filter = parsed.get("--rule");
     if let Some(rule) = rule_filter {
-        if !ppm_lint::rules::ANALYZE_RULE_NAMES.contains(&rule) {
+        if !ppm_lint::rules::is_known_rule(rule) {
             return Err(CliError::Usage(format!(
-                "unknown analyze rule {rule:?} (known: {})",
-                ppm_lint::rules::ANALYZE_RULE_NAMES.join(", ")
+                "unknown lint rule {rule:?} (known: {})",
+                ppm_lint::rules::rule_names().join(", ")
             )));
         }
     }
@@ -1028,8 +1000,8 @@ fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         }
     };
     let mut report = {
-        let _span = ppm_telemetry::span("stage.analyze");
-        ppm_analyze::analyze_workspace(root, &conf).map_err(|e| persist(&e))?
+        let _span = ppm_telemetry::span("stage.lint");
+        ppm_lint::lint_workspace(root, &conf).map_err(|e| persist(&e))?
     };
     if let Some(rule) = rule_filter {
         report.diagnostics.retain(|d| d.rule == rule);
@@ -1041,7 +1013,7 @@ fn analyze(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(CliError::Analyze(report.diagnostics.len()))
+        Err(CliError::Lint(report.diagnostics.len()))
     }
 }
 
