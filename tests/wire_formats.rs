@@ -191,3 +191,135 @@ fn tracez_document_schema_is_pinned() {
         "{disabled}"
     );
 }
+
+/// One leveled event whose string field holds a quote, a backslash, a
+/// newline and a raw control character — every escaping class.
+fn golden_event() -> ppm_telemetry::Record {
+    ppm_telemetry::Record::Event {
+        name: "golden.evt".to_string(),
+        level: ppm_telemetry::Level::Warn,
+        fields: vec![
+            ("s".to_string(), "q\"b\\s\n\u{1}".into()),
+            ("n".to_string(), 3u64.into()),
+        ],
+        depth: 1,
+    }
+}
+
+#[test]
+fn eventz_document_bytes_are_golden() {
+    use ppm_telemetry::Sink;
+    let mut ring = ppm_telemetry::EventRing::new(1);
+    ring.record(&golden_event());
+    ring.record(&golden_event());
+    let at_us = ring.events()[0].at_us;
+    assert_eq!(
+        ring.render_json(),
+        format!(
+            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":1,\"dropped\":1,\"events\":[\
+             {{\"seq\":1,\"at_us\":{at_us},\"level\":\"warn\",\"name\":\"golden.evt\",\
+             \"fields\":{{\"s\":\"q\\\"b\\\\s\\n\\u0001\",\"n\":3}}}}]}}"
+        )
+    );
+}
+
+#[test]
+fn jsonl_event_line_bytes_are_golden() {
+    let rec = ppm_telemetry::Record::Event {
+        name: "rbf.cell".to_string(),
+        level: ppm_telemetry::Level::Info,
+        fields: vec![
+            ("p_min".to_string(), 2.0f64.into()),
+            ("alpha".to_string(), 0.5f64.into()),
+            ("score".to_string(), (-41.25f64).into()),
+            ("centers".to_string(), 7usize.into()),
+        ],
+        depth: 2,
+    };
+    assert_eq!(
+        rec.to_json_line(),
+        "{\"t\":\"event\",\"name\":\"rbf.cell\",\"level\":\"info\",\"depth\":2,\
+         \"fields\":{\"p_min\":2,\"alpha\":0.5,\"score\":-41.25,\"centers\":7}}"
+    );
+    assert_eq!(
+        golden_event().to_json_line(),
+        "{\"t\":\"event\",\"name\":\"golden.evt\",\"level\":\"warn\",\"depth\":1,\
+         \"fields\":{\"s\":\"q\\\"b\\\\s\\n\\u0001\",\"n\":3}}"
+    );
+}
+
+fn golden_trace(seq: u64, outcome: ppm_serve::TraceOutcome) -> ppm_serve::TraceRecord {
+    ppm_serve::TraceRecord {
+        id: format!("ppm-{seq:012x}"),
+        seq,
+        route: "/predict".to_string(),
+        outcome,
+        status: 503,
+        detail: "late \"q\"\n".to_string(),
+        worker: (seq % 2 == 0).then_some(1),
+        total_us: 5000 + seq,
+        spans: vec![
+            ppm_serve::SpanRec {
+                name: "accept",
+                start_us: 0,
+                dur_us: 1,
+            },
+            ppm_serve::SpanRec {
+                name: "eval",
+                start_us: 1,
+                dur_us: 4999,
+            },
+        ],
+        unix_ms: 1_700_000_000_000,
+    }
+}
+
+const GOLDEN_TRACE_7: &str = "{\"id\":\"ppm-000000000007\",\"seq\":7,\"route\":\"/predict\",\
+     \"outcome\":\"deadline_expired\",\"status\":503,\"detail\":\"late \\\"q\\\"\\n\",\
+     \"worker\":null,\"total_us\":5007,\"unix_ms\":1700000000000,\"spans\":[\
+     {\"name\":\"accept\",\"start_us\":0,\"dur_us\":1},\
+     {\"name\":\"eval\",\"start_us\":1,\"dur_us\":4999}]}";
+
+#[test]
+fn tracez_record_and_filtered_document_bytes_are_golden() {
+    use ppm_serve::{TraceConfig, TraceFilter, TraceOutcome, TraceRing};
+    assert_eq!(
+        golden_trace(7, TraceOutcome::DeadlineExpired).to_json(),
+        GOLDEN_TRACE_7
+    );
+    let ring = TraceRing::new(TraceConfig {
+        capacity: 16,
+        sample_one_in: 1,
+        slow_keep: 0,
+    });
+    ring.offer(golden_trace(4, TraceOutcome::Shed));
+    ring.offer(golden_trace(5, TraceOutcome::DeadlineExpired));
+    ring.offer(golden_trace(6, TraceOutcome::Shed));
+    ring.offer(golden_trace(7, TraceOutcome::DeadlineExpired));
+    let filter = TraceFilter {
+        outcome: Some(TraceOutcome::DeadlineExpired),
+        limit: Some(1),
+        ..TraceFilter::default()
+    };
+    assert_eq!(
+        ring.render_tracez(&filter),
+        format!(
+            "{{\"schema\":\"ppm-tracez v1\",\"enabled\":true,\"capacity\":16,\
+             \"retained\":4,\"records\":[{GOLDEN_TRACE_7}]}}"
+        )
+    );
+}
+
+#[test]
+fn every_control_character_round_trips_through_the_escaper() {
+    for code in 0u32..0x20 {
+        let c = char::from_u32(code).expect("ASCII control character");
+        let original = Json::Str(format!("a{c}b"));
+        let text = original.dump();
+        assert!(
+            text.chars().all(|ch| (ch as u32) >= 0x20),
+            "raw control character {code:#04x} in {text:?}"
+        );
+        assert_eq!(Json::parse(&text), Ok(original), "{code:#04x}: {text}");
+    }
+}
