@@ -198,11 +198,11 @@ mod tests {
         registry.counter("live.test_hits").add(7);
         {
             let mut writer = ring.clone();
-            use ppm_telemetry::{Record, Sink, Value};
+            use ppm_telemetry::{Json, Record, Sink};
             writer.record(&Record::Event {
                 name: "t.ring".into(),
                 level: Level::Warn,
-                fields: vec![("k".into(), Value::from(1u64))],
+                fields: vec![("k".into(), Json::from(1u64))],
                 depth: 0,
             });
         }

@@ -23,8 +23,8 @@
 //!   and the `results/BENCH_*.json` trajectory.
 //!
 //! Like the rest of the workspace, this crate has no external
-//! dependencies; [`json`] is a small self-contained JSON value type
-//! with a parser and serializer.
+//! dependencies; [`json`] re-exports the workspace's one JSON codec
+//! from `ppm-telemetry`.
 
 pub mod bench;
 pub mod json;

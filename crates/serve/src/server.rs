@@ -47,7 +47,8 @@ use ppm_live::http::{
     read_request_head, split_query, write_response, write_response_with_headers, MAX_HEAD,
 };
 use ppm_sim::SimConfig;
-use ppm_telemetry::{json_string, Counter, Histogram, Level, Record, Registry};
+use ppm_telemetry::json::quote;
+use ppm_telemetry::{Counter, Histogram, Level, Record, Registry};
 use ppm_workload::Benchmark;
 
 use crate::chaos::ChaosClients;
@@ -304,15 +305,18 @@ impl ServeServer {
             streak: AtomicU32::new(0),
             sticky: AtomicBool::new(false),
             probe_tick: AtomicU64::new(0),
-            metrics,
             counters,
             trace: (config.trace && config.trace_ring > 0).then(|| {
-                TraceRing::new(TraceConfig {
-                    capacity: config.trace_ring,
-                    sample_one_in: config.trace_sample,
-                    slow_keep: config.trace_slow_keep,
-                })
+                TraceRing::new(
+                    TraceConfig {
+                        capacity: config.trace_ring,
+                        sample_one_in: config.trace_sample,
+                        slow_keep: config.trace_slow_keep,
+                    },
+                    &metrics,
+                )
             }),
+            metrics,
             slo: SloTracker::new(
                 config.slo_availability.clamp(0.0, 1.0 - 1e-9),
                 u64::try_from(config.slo_latency.as_micros()).unwrap_or(u64::MAX),
@@ -497,7 +501,7 @@ fn shed(state: &ServeState, conn: Conn) {
     let body = format!(
         "{{\"error\":\"shed: request queue full\",\"queued\":{},\"trace_id\":{}}}\n",
         state.queued.load(Ordering::SeqCst),
-        json_string(&ctx.id)
+        quote(&ctx.id)
     );
     let write_start = accepted.elapsed_us();
     let write_ok = write_response_with_headers(
@@ -1003,11 +1007,7 @@ fn config_from_pairs(pairs: &[(&str, &str)]) -> Result<SimConfig, String> {
 }
 
 fn bad_request(detail: &str) -> (u16, &'static str, String) {
-    (
-        400,
-        JSON,
-        format!("{{\"error\":{}}}\n", json_string(detail)),
-    )
+    (400, JSON, format!("{{\"error\":{}}}\n", quote(detail)))
 }
 
 /// Why this prediction fell back to the analytical estimator — each
@@ -1068,9 +1068,9 @@ fn deadline_exceeded(
         JSON,
         format!(
             "{{\"error\":{},\"deadline_ms\":{budget_ms},\"elapsed_ms\":{},\"trace_id\":{}}}\n",
-            json_string(&detail),
+            quote(&detail),
             accepted.elapsed_ms(),
-            json_string(trace_id)
+            quote(trace_id)
         ),
         TraceOutcome::DeadlineExpired,
         detail,
@@ -1123,7 +1123,7 @@ fn predict(
             return (
                 500,
                 JSON,
-                format!("{{\"error\":{}}}\n", json_string(&detail)),
+                format!("{{\"error\":{}}}\n", quote(&detail)),
                 TraceOutcome::Ok,
                 detail,
             );
@@ -1193,7 +1193,7 @@ fn predict(
     };
     state.counters.ok.inc();
     let reason_json = match &degraded_reason {
-        Some(reason) => json_string(reason),
+        Some(reason) => quote(reason),
         None => "null".to_string(),
     };
     (
@@ -1203,11 +1203,11 @@ fn predict(
             "{{\"schema\":\"ppm-serve v1\",\"benchmark\":{},\"metric\":{},\"prediction\":{prediction},\
              \"degraded\":{degraded},\"degraded_reason\":{reason_json},\"model_version\":{},\
              \"deadline_ms\":{budget_ms},\"elapsed_ms\":{},\"trace_id\":{}}}\n",
-            json_string(&model.benchmark.to_string()),
-            json_string(&model.metric),
-            json_string(&model.version),
+            quote(&model.benchmark.to_string()),
+            quote(&model.metric),
+            quote(&model.version),
             accepted.elapsed_ms(),
-            json_string(trace_id)
+            quote(trace_id)
         ),
         outcome,
         degraded_reason.unwrap_or_default(),
@@ -1223,7 +1223,7 @@ fn readyz(state: &ServeState) -> (u16, &'static str, String) {
     let ready = model.network.is_some() && !sticky && queued < state.degrade_depth;
     let body = format!(
         "{{\"ready\":{ready},\"model_version\":{},\"sticky_degraded\":{sticky},\"queued\":{queued},\"degrade_depth\":{}}}\n",
-        json_string(&model.version),
+        quote(&model.version),
         state.degrade_depth
     );
     (if ready { 200 } else { 503 }, JSON, body)
@@ -1234,7 +1234,7 @@ fn statusz(state: &ServeState) -> String {
     let trace_json = match &state.trace {
         Some(ring) => format!(
             "{{\"enabled\":true,\"retained\":{},\"capacity\":{}}}",
-            ring.retained_len(),
+            ring.len(),
             ring.capacity()
         ),
         None => "{\"enabled\":false,\"retained\":0,\"capacity\":0}".to_string(),
@@ -1248,9 +1248,9 @@ fn statusz(state: &ServeState) -> String {
          \"shed_by_reason\":{{\"queue_full\":{},\"deadline\":{}}},\
          \"degraded_by_reason\":{{\"no_model\":{},\"degrade_depth\":{},\"fail_streak\":{},\"eval_failure\":{}}},\
          \"trace\":{},\"slo\":{}}}\n",
-        json_string(&model.version),
-        json_string(&model.benchmark.to_string()),
-        json_string(&model.metric),
+        quote(&model.version),
+        quote(&model.benchmark.to_string()),
+        quote(&model.metric),
         state.workers,
         state.queue_capacity,
         state.queued.load(Ordering::SeqCst),
@@ -1291,7 +1291,7 @@ fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
                 JSON,
                 format!(
                     "{{\"version\":{},\"changed\":{}}}\n",
-                    json_string(&outcome.version),
+                    quote(&outcome.version),
                     outcome.changed
                 ),
             )
@@ -1310,8 +1310,8 @@ fn reloadz(state: &ServeState) -> (u16, &'static str, String) {
                 JSON,
                 format!(
                     "{{\"error\":{},\"version\":{}}}\n",
-                    json_string(&e.to_string()),
-                    json_string(&state.store.active().version)
+                    quote(&e.to_string()),
+                    quote(&state.store.active().version)
                 ),
             )
         }
@@ -1406,8 +1406,16 @@ mod tests {
 
     #[test]
     fn reload_of_an_empty_registry_is_a_conflict_not_a_crash() {
-        let server = ServeServer::start(analytical_config("reload")).unwrap();
-        let bystander = ServeServer::start(analytical_config("reload-bystander")).unwrap();
+        // One trace slot per shard, and only failures and degraded
+        // answers are kept: plain OK traffic is always sampled out.
+        let config = |tag| ServeConfig {
+            trace_ring: 8,
+            trace_sample: 0,
+            trace_slow_keep: 0,
+            ..analytical_config(tag)
+        };
+        let server = ServeServer::start(config("reload")).unwrap();
+        let bystander = ServeServer::start(config("reload-bystander")).unwrap();
         let addr = server.addr().to_string();
         let reload_failures = |addr: &str| {
             let (_, body) = http_get(addr, "/statusz", IO_TIMEOUT).unwrap();
@@ -1432,6 +1440,47 @@ mod tests {
         // Predictions still work after the failed reload.
         let (status, _) = http_get(&addr, "/predict", IO_TIMEOUT).unwrap();
         assert_eq!(status, 200);
+
+        // The `serve.trace.*` counters are per server too. The 409, the
+        // degraded prediction and eight 400s are ten kept records over
+        // eight one-slot shards, so at least two are evicted; /statusz
+        // and /healthz are plain OK traffic and are sampled out.
+        for _ in 0..8 {
+            let (status, _) = http_get(&addr, "/predict?rob=banana", IO_TIMEOUT).unwrap();
+            assert_eq!(status, 400);
+        }
+        for _ in 0..4 {
+            http_get(&addr, "/healthz", IO_TIMEOUT).unwrap();
+        }
+        let trace_counts = |addr: &str| {
+            let (_, body) = http_get(addr, "/metrics", IO_TIMEOUT).unwrap();
+            ["retained", "sampled_out", "evicted"].map(|name| {
+                let series = format!("ppm_serve_trace_{name} ");
+                body.lines()
+                    .find_map(|l| l.strip_prefix(series.as_str()))
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .unwrap_or_else(|| panic!("no {series}sample:\n{body}"))
+            })
+        };
+        // A record is offered after its response is written: poll until
+        // the last one is counted.
+        let mut counts = trace_counts(&addr);
+        for _ in 0..200 {
+            if counts[0] >= 10 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            counts = trace_counts(&addr);
+        }
+        let [retained, sampled_out, evicted] = counts;
+        assert!(
+            retained == 10 && evicted >= 2 && sampled_out >= 6,
+            "{counts:?}"
+        );
+        // The bystander answered one /statusz and nothing else.
+        let [retained, sampled_out, evicted] = trace_counts(&bystander.addr().to_string());
+        assert_eq!((retained, evicted), (0, 0));
+        assert!(sampled_out <= 1, "{sampled_out}");
     }
 
     #[test]

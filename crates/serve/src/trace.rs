@@ -14,8 +14,9 @@
 //!   panic-contained) is kept unconditionally, the slowest-N requests
 //!   by total latency are kept, and plain OK traffic is kept 1-in-K.
 //!   Retention decisions are counted (`serve.trace.retained`,
-//!   `serve.trace.sampled_out`, `serve.trace.evicted`) so the ring
-//!   never silently lies about coverage.
+//!   `serve.trace.sampled_out`, `serve.trace.evicted`) in the owning
+//!   server's registry, so the ring never silently lies about coverage
+//!   and two servers in one process never share counts.
 //! * [`SloTracker`] — multi-window error-budget accounting over the
 //!   same per-request outcomes: availability (non-shed, non-failed)
 //!   and a latency objective, burn rates over 5s/1m/5m windows, and
@@ -26,11 +27,11 @@
 //! one wall-clock-exempt module — and passed in, so the `wall-clock`
 //! lint keeps holding for the trace layer itself.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ppm_telemetry::json_string;
+use ppm_telemetry::json::quote_into;
+use ppm_telemetry::{Counter, Registry, Ring};
 
 /// Number of independently locked shards in the ring. Power of two so
 /// `seq & (SHARDS-1)` distributes round-robin-accepted requests evenly.
@@ -154,14 +155,14 @@ impl TraceRecord {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
         s.push_str("{\"id\":");
-        s.push_str(&json_string(&self.id));
+        quote_into(&mut s, &self.id);
         s.push_str(&format!(",\"seq\":{}", self.seq));
         s.push_str(",\"route\":");
-        s.push_str(&json_string(&self.route));
+        quote_into(&mut s, &self.route);
         s.push_str(&format!(",\"outcome\":\"{}\"", self.outcome.as_str()));
         s.push_str(&format!(",\"status\":{}", self.status));
         s.push_str(",\"detail\":");
-        s.push_str(&json_string(&self.detail));
+        quote_into(&mut s, &self.detail);
         match self.worker {
             Some(w) => s.push_str(&format!(",\"worker\":{w}")),
             None => s.push_str(",\"worker\":null"),
@@ -208,25 +209,21 @@ impl Default for TraceConfig {
     }
 }
 
-struct Shard {
-    records: Mutex<VecDeque<TraceRecord>>,
-}
-
-/// The lock-sharded ring of retained trace records.
+/// The lock-sharded ring of retained trace records: eight bounded
+/// [`Ring`]s, one per shard.
 ///
 /// `offer` is the only write path and takes exactly one shard lock
 /// (plus a short slow-heap lock for OK traffic), so tracing stays off
 /// the contended path between workers. Eviction is per-shard FIFO.
 pub struct TraceRing {
-    shards: Vec<Shard>,
-    per_shard_cap: usize,
+    shards: Vec<Ring<TraceRecord>>,
     config: TraceConfig,
     /// Min-heap (as negated values) of the slowest-N latencies seen.
     slow: Mutex<Vec<u64>>,
     normal_tick: AtomicU64,
-    retained: Arc<ppm_telemetry::Counter>,
-    sampled_out: Arc<ppm_telemetry::Counter>,
-    evicted: Arc<ppm_telemetry::Counter>,
+    retained: Arc<Counter>,
+    sampled_out: Arc<Counter>,
+    evicted: Arc<Counter>,
 }
 
 /// Filters accepted by [`TraceRing::snapshot`] — the `/tracez` query
@@ -245,43 +242,37 @@ pub struct TraceFilter {
     pub limit: Option<usize>,
 }
 
+impl TraceFilter {
+    fn admits(&self, rec: &TraceRecord) -> bool {
+        self.outcome.is_none_or(|o| rec.outcome == o)
+            && self.min_us.is_none_or(|min| rec.total_us >= min)
+            && self
+                .id_prefix
+                .as_ref()
+                .is_none_or(|prefix| rec.id.starts_with(prefix.as_str()))
+            && self.since_seq.is_none_or(|since| rec.seq > since)
+    }
+}
+
 impl TraceRing {
-    /// Creates a ring with the given policy, resolving its counters
-    /// from the global telemetry registry.
-    pub fn new(config: TraceConfig) -> Self {
+    /// Creates a ring with the given policy, resolving its
+    /// `serve.trace.*` counters in `registry` (the owning server's).
+    pub fn new(config: TraceConfig, registry: &Registry) -> Self {
         let per_shard_cap = (config.capacity / SHARDS).max(1);
         TraceRing {
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    records: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            per_shard_cap,
+            shards: (0..SHARDS).map(|_| Ring::new(per_shard_cap)).collect(),
             config,
             slow: Mutex::new(Vec::new()),
             normal_tick: AtomicU64::new(0),
-            retained: ppm_telemetry::counter("serve.trace.retained"),
-            sampled_out: ppm_telemetry::counter("serve.trace.sampled_out"),
-            evicted: ppm_telemetry::counter("serve.trace.evicted"),
+            retained: registry.counter("serve.trace.retained"),
+            sampled_out: registry.counter("serve.trace.sampled_out"),
+            evicted: registry.counter("serve.trace.evicted"),
         }
     }
 
     /// Total ring capacity.
     pub fn capacity(&self) -> usize {
-        self.per_shard_cap * SHARDS
-    }
-
-    /// How many records the ring currently holds across all shards.
-    pub fn retained_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.records
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(Ring::capacity).sum()
     }
 
     /// Offers a completed record to the tail sampler. Non-OK outcomes
@@ -292,16 +283,9 @@ impl TraceRing {
             self.sampled_out.inc();
             return;
         }
-        let shard = &self.shards[(rec.seq as usize) % SHARDS];
-        let mut q = shard
-            .records
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if q.len() >= self.per_shard_cap {
-            q.pop_front();
+        if self.shards[(rec.seq as usize) % SHARDS].push(rec) {
             self.evicted.inc();
         }
-        q.push_back(rec);
         self.retained.inc();
     }
 
@@ -343,33 +327,7 @@ impl TraceRing {
     pub fn snapshot(&self, filter: &TraceFilter) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let q = shard
-                .records
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for rec in q.iter() {
-                if let Some(o) = filter.outcome {
-                    if rec.outcome != o {
-                        continue;
-                    }
-                }
-                if let Some(min) = filter.min_us {
-                    if rec.total_us < min {
-                        continue;
-                    }
-                }
-                if let Some(prefix) = &filter.id_prefix {
-                    if !rec.id.starts_with(prefix.as_str()) {
-                        continue;
-                    }
-                }
-                if let Some(since) = filter.since_seq {
-                    if rec.seq <= since {
-                        continue;
-                    }
-                }
-                out.push(rec.clone());
-            }
+            out.extend(shard.snapshot(|rec| filter.admits(rec)).0);
         }
         out.sort_by_key(|r| r.seq);
         if let Some(limit) = filter.limit {
@@ -380,17 +338,9 @@ impl TraceRing {
         out
     }
 
-    /// Number of currently retained records.
+    /// How many records the ring currently holds across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.records
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(Ring::len).sum()
     }
 
     /// True when nothing is retained.
@@ -649,6 +599,10 @@ mod tests {
         }
     }
 
+    fn ring_with(config: TraceConfig) -> TraceRing {
+        TraceRing::new(config, &Registry::new())
+    }
+
     #[test]
     fn context_derives_or_honors_ids() {
         assert_eq!(TraceContext::new(42, None).id, "ppm-00000000002a");
@@ -661,7 +615,7 @@ mod tests {
 
     #[test]
     fn tail_sampler_keeps_every_non_ok_outcome() {
-        let ring = TraceRing::new(TraceConfig {
+        let ring = ring_with(TraceConfig {
             capacity: 1024,
             sample_one_in: 0, // no lottery winners
             slow_keep: 0,     // no slowest-N
@@ -686,7 +640,7 @@ mod tests {
 
     #[test]
     fn slowest_n_and_one_in_k_retain_ok_traffic() {
-        let ring = TraceRing::new(TraceConfig {
+        let ring = ring_with(TraceConfig {
             capacity: 1024,
             sample_one_in: 10,
             slow_keep: 2,
@@ -711,22 +665,28 @@ mod tests {
 
     #[test]
     fn ring_evicts_fifo_per_shard_and_counts() {
-        let before = ppm_telemetry::registry()
-            .counter("serve.trace.evicted")
-            .get();
-        let ring = TraceRing::new(TraceConfig {
-            capacity: 16, // 2 per shard
-            sample_one_in: 1,
-            slow_keep: 0,
-        });
+        let registry = Registry::new();
+        let ring = TraceRing::new(
+            TraceConfig {
+                capacity: 16, // 2 per shard
+                sample_one_in: 1,
+                slow_keep: 0,
+            },
+            &registry,
+        );
         for i in 0..64u64 {
             ring.offer(rec(i, TraceOutcome::Shed, 10));
         }
         assert_eq!(ring.len(), 16);
-        let after = ppm_telemetry::registry()
-            .counter("serve.trace.evicted")
-            .get();
-        assert_eq!(after - before, 48);
+        assert_eq!(registry.counter("serve.trace.evicted").get(), 48);
+        assert_eq!(registry.counter("serve.trace.retained").get(), 64);
+        // Nothing leaks into the process-global registry.
+        assert_eq!(
+            ppm_telemetry::registry()
+                .counter("serve.trace.evicted")
+                .get(),
+            0
+        );
         // Survivors are the most recent per shard.
         let all = ring.snapshot(&TraceFilter::default());
         assert!(all.iter().all(|r| r.seq >= 32), "{all:?}");
@@ -734,7 +694,7 @@ mod tests {
 
     #[test]
     fn snapshot_filters_compose() {
-        let ring = TraceRing::new(TraceConfig {
+        let ring = ring_with(TraceConfig {
             capacity: 1024,
             sample_one_in: 1,
             slow_keep: 0,
@@ -782,7 +742,7 @@ mod tests {
 
     #[test]
     fn tracez_document_is_schema_tagged_json() {
-        let ring = TraceRing::new(TraceConfig {
+        let ring = ring_with(TraceConfig {
             capacity: 64,
             sample_one_in: 1,
             slow_keep: 0,

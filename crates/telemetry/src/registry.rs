@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::write_json_string;
+use crate::json::quote_into;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -330,7 +330,7 @@ impl MetricRecord {
             MetricKind::Histogram => s.push_str("\"histogram\""),
         }
         s.push_str(",\"name\":");
-        write_json_string(&mut s, &self.name);
+        quote_into(&mut s, &self.name);
         match self.kind {
             MetricKind::Counter => {
                 s.push_str(&format!(",\"value\":{}", self.value.unwrap_or(0)));

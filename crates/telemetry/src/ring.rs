@@ -1,18 +1,111 @@
-//! A bounded in-memory ring of recent events, for live inspection.
+//! Bounded in-memory rings.
 //!
-//! [`EventRing`] is a [`Sink`] that keeps the last `capacity` events
-//! (spans and metric snapshots are ignored) behind a mutex. The live
-//! plane's `/eventz` route renders its contents on demand; tests use it
-//! to assert on leveled emissions without touching stderr. Clones share
-//! the same buffer, so one clone can be installed as a sink while
-//! another is polled.
+//! [`Ring`] is the workspace's one bounded FIFO: a capacity, a lifetime
+//! sequence number, oldest-first eviction with an evicted count, all
+//! behind one poison-tolerant lock. Two rings are built on it:
+//!
+//! * [`EventRing`], a [`Sink`] that keeps the last `capacity` events
+//!   (spans and metric snapshots are ignored). The live plane's
+//!   `/eventz` route renders it on demand; tests use it to assert on
+//!   leveled emissions without touching stderr. Clones share the same
+//!   buffer, so one clone can be installed as a sink while another is
+//!   polled.
+//! * `ppm-serve`'s request-trace ring, one `Ring` per lock shard.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::json::{write_json_string, Value};
+use crate::json::{quote_into, Json};
 use crate::sink::{Level, Record, Sink, Verbosity};
 use crate::span::monotonic_us;
+
+/// A capacity-bounded FIFO: pushing into a full ring evicts the oldest
+/// item. Every method takes the ring's one lock exactly once.
+#[derive(Debug)]
+pub struct Ring<T> {
+    capacity: usize,
+    slots: Mutex<Slots<T>>,
+}
+
+#[derive(Debug)]
+struct Slots<T> {
+    items: VecDeque<T>,
+    next_seq: u64,
+    evicted: u64,
+}
+
+impl<T> Ring<T> {
+    /// Creates an empty ring holding at most `capacity` items
+    /// (minimum 1). Storage grows on demand, not up front.
+    pub fn new(capacity: usize) -> Self {
+        Ring {
+            capacity: capacity.max(1),
+            slots: Mutex::new(Slots {
+                items: VecDeque::new(),
+                next_seq: 0,
+                evicted: 0,
+            }),
+        }
+    }
+
+    /// The ring's capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Appends the item `make` builds from its lifetime sequence number
+    /// (0 = the first item ever pushed), evicting the oldest item when
+    /// the ring is full. Returns true when an item was evicted.
+    pub fn push_with(&self, make: impl FnOnce(u64) -> T) -> bool {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let seq = slots.next_seq;
+        slots.next_seq += 1;
+        let evict = slots.items.len() == self.capacity;
+        if evict {
+            slots.items.pop_front();
+            slots.evicted += 1;
+        }
+        slots.items.push_back(make(seq));
+        evict
+    }
+
+    /// Appends `item` (see [`Ring::push_with`]).
+    pub fn push(&self, item: T) -> bool {
+        self.push_with(|_| item)
+    }
+
+    /// How many items the ring holds.
+    pub fn len(&self) -> usize {
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .items
+            .len()
+    }
+
+    /// True when the ring holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// How many items have been evicted to honour the capacity bound.
+    pub fn evicted(&self) -> u64 {
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .evicted
+    }
+}
+
+impl<T: Clone> Ring<T> {
+    /// Clones of the held items that `keep` admits, oldest first, and
+    /// the evicted count, both read under one lock acquisition.
+    pub fn snapshot(&self, mut keep: impl FnMut(&T) -> bool) -> (Vec<T>, u64) {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let items = slots.items.iter().filter(|t| keep(t)).cloned().collect();
+        (items, slots.evicted)
+    }
+}
 
 /// One captured event, stamped with a sequence number and the
 /// process-wide monotonic clock.
@@ -27,7 +120,7 @@ pub struct RingEvent {
     /// Event name (dotted).
     pub name: String,
     /// Ordered field list.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl RingEvent {
@@ -38,79 +131,60 @@ impl RingEvent {
             "{{\"seq\":{},\"at_us\":{},\"level\":\"{}\",\"name\":",
             self.seq, self.at_us, self.level
         ));
-        write_json_string(&mut s, &self.name);
+        quote_into(&mut s, &self.name);
         s.push_str(",\"fields\":{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            write_json_string(&mut s, k);
+            quote_into(&mut s, k);
             s.push(':');
-            v.write_json(&mut s);
+            v.dump_into(&mut s);
         }
         s.push_str("}}");
         s
     }
 }
 
-#[derive(Debug, Default)]
-struct RingState {
-    events: VecDeque<RingEvent>,
-    next_seq: u64,
-    dropped: u64,
-}
-
 /// A capacity-bounded sink retaining the most recent events.
 #[derive(Debug, Clone)]
 pub struct EventRing {
-    state: Arc<Mutex<RingState>>,
-    capacity: usize,
+    ring: Arc<Ring<RingEvent>>,
 }
 
 impl EventRing {
     /// Creates a ring holding at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> Self {
         EventRing {
-            state: Arc::new(Mutex::new(RingState::default())),
-            capacity: capacity.max(1),
+            ring: Arc::new(Ring::new(capacity)),
         }
     }
 
     /// The ring's capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// A snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<RingEvent> {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.events.iter().cloned().collect()
+        self.ring.snapshot(|_| true).0
     }
 
     /// How many events have been evicted to honour the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .dropped
+        self.ring.evicted()
     }
 
     /// Renders the ring as the `ppm-eventz v1` JSON document served by
     /// the live plane's `/eventz` route.
     pub fn render_json(&self) -> String {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (events, dropped) = self.ring.snapshot(|_| true);
         let mut s = String::with_capacity(256);
         s.push_str(&format!(
-            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":{},\"dropped\":{},\"events\":[",
-            self.capacity, state.dropped
+            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":{},\"dropped\":{dropped},\"events\":[",
+            self.capacity()
         ));
-        for (i, e) in state.events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -132,17 +206,7 @@ impl Sink for EventRing {
         else {
             return;
         };
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.events.len() == self.capacity {
-            state.events.pop_front();
-            state.dropped += 1;
-        }
-        state.events.push_back(RingEvent {
+        self.ring.push_with(|seq| RingEvent {
             seq,
             at_us: monotonic_us(),
             level: *level,
@@ -164,7 +228,7 @@ mod tests {
         Record::Event {
             name: name.to_string(),
             level,
-            fields: vec![("k".to_string(), Value::from(1u64))],
+            fields: vec![("k".to_string(), Json::from(1u64))],
             depth: 0,
         }
     }
@@ -210,6 +274,19 @@ mod tests {
         assert!(doc.contains("\"name\":\"live.hello\""));
         assert!(doc.contains("\"fields\":{\"k\":1}"));
         assert!(doc.ends_with("]}"));
+    }
+
+    #[test]
+    fn ring_counts_sequence_and_evictions() {
+        let ring = Ring::new(0); // clamped to 1
+        assert_eq!(ring.capacity(), 1);
+        assert!(ring.is_empty());
+        assert!(!ring.push_with(|seq| seq));
+        assert!(ring.push(10));
+        assert!(ring.push_with(|seq| seq));
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.snapshot(|_| true), (vec![2], 2));
+        assert_eq!(ring.snapshot(|v| *v > 2), (vec![], 2));
     }
 
     #[test]

@@ -22,16 +22,10 @@ echo "== tier-1: cargo build --release =="
 cargo build --release
 gate_done build
 
-echo "== tier-1: cargo test -q =="
-cargo test -q
-
-echo "== fault-injection suite =="
-cargo test -q --test fault_injection
-
-echo "== determinism suite (serial == parallel) =="
-cargo test -q --test determinism
-
-echo "== workspace tests =="
+echo "== tests: cargo test -q --workspace =="
+# One run of every test binary: the root package's suites (tier-1's
+# `cargo test -q`, fault injection and determinism included) plus every
+# workspace crate's.
 cargo test -q --workspace
 gate_done test
 

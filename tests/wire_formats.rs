@@ -68,6 +68,15 @@ fn eventz_document_schema_is_pinned() {
 #[test]
 fn ledger_schema_constant_is_pinned() {
     assert!(ppm_obs::ledger::LEDGER_SCHEMA == "ppm-ledger v1");
+    // The committed baseline's body re-serializes to the bytes it was
+    // hashed from: the codec's number and string rules have not moved.
+    let baseline =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/baselines/smoke.json");
+    let doc = ppm_obs::load_ledger(&baseline).expect("baseline ledger loads");
+    assert_eq!(
+        ppm_obs::verify_content_hash(&doc).as_deref(),
+        Ok("40fb43e36b5d22d6")
+    );
 }
 
 #[test]
@@ -178,7 +187,10 @@ fn statusz_body_schema_is_pinned() {
 
 #[test]
 fn tracez_document_schema_is_pinned() {
-    let ring = ppm_serve::TraceRing::new(ppm_serve::TraceConfig::default());
+    let ring = ppm_serve::TraceRing::new(
+        ppm_serve::TraceConfig::default(),
+        &ppm_telemetry::Registry::new(),
+    );
     let text = ring.render_tracez(&ppm_serve::TraceFilter::default());
     assert!(
         schema_of(&text).as_deref() == Some("ppm-tracez v1"),
@@ -236,10 +248,12 @@ fn jsonl_event_line_bytes_are_golden() {
         ],
         depth: 2,
     };
+    // Float fields keep a decimal point, so an integral `p_min` reads
+    // `2.0` and stays a float when the line is parsed back.
     assert_eq!(
         rec.to_json_line(),
         "{\"t\":\"event\",\"name\":\"rbf.cell\",\"level\":\"info\",\"depth\":2,\
-         \"fields\":{\"p_min\":2,\"alpha\":0.5,\"score\":-41.25,\"centers\":7}}"
+         \"fields\":{\"p_min\":2.0,\"alpha\":0.5,\"score\":-41.25,\"centers\":7}}"
     );
     assert_eq!(
         golden_event().to_json_line(),
@@ -256,7 +270,7 @@ fn golden_trace(seq: u64, outcome: ppm_serve::TraceOutcome) -> ppm_serve::TraceR
         outcome,
         status: 503,
         detail: "late \"q\"\n".to_string(),
-        worker: (seq % 2 == 0).then_some(1),
+        worker: seq.is_multiple_of(2).then_some(1),
         total_us: 5000 + seq,
         spans: vec![
             ppm_serve::SpanRec {
@@ -287,11 +301,14 @@ fn tracez_record_and_filtered_document_bytes_are_golden() {
         golden_trace(7, TraceOutcome::DeadlineExpired).to_json(),
         GOLDEN_TRACE_7
     );
-    let ring = TraceRing::new(TraceConfig {
-        capacity: 16,
-        sample_one_in: 1,
-        slow_keep: 0,
-    });
+    let ring = TraceRing::new(
+        TraceConfig {
+            capacity: 16,
+            sample_one_in: 1,
+            slow_keep: 0,
+        },
+        &ppm_telemetry::Registry::new(),
+    );
     ring.offer(golden_trace(4, TraceOutcome::Shed));
     ring.offer(golden_trace(5, TraceOutcome::DeadlineExpired));
     ring.offer(golden_trace(6, TraceOutcome::Shed));
