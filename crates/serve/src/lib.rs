@@ -38,7 +38,7 @@ pub use clock::{unix_now_ms, unix_now_sec, Deadline, Stopwatch};
 pub use loadtest::{
     run_ab, run_loadtest, AbReport, LoadtestConfig, LoadtestReport, TraceCheckReport,
 };
-pub use server::{ServeConfig, ServeServer};
+pub use server::{ServeConfig, ServeServer, MAX_QUEUE_PER_WORKER};
 pub use store::{publish, ModelStore, ReloadOutcome, ServingModel, CURRENT_FILE};
 pub use tail::{run_tail, TailConfig};
 pub use trace::{

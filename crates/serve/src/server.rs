@@ -65,6 +65,11 @@ use crate::ServeError;
 /// dropped.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// The largest `--queue` (slots per worker) the CLI accepts: with at
+/// most [`ppm_exec::MAX_THREADS`] workers that bounds the whole queue,
+/// whose slots are allocated up front, at 256 Ki connections.
+pub const MAX_QUEUE_PER_WORKER: usize = 1024;
+
 const JSON: &str = "application/json";
 const TEXT: &str = "text/plain";
 
@@ -75,7 +80,8 @@ const TEXT: &str = "text/plain";
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads evaluating predictions.
+    /// Worker threads evaluating predictions (at most
+    /// [`ppm_exec::MAX_THREADS`] are spawned).
     pub workers: usize,
     /// Bounded queue slots per worker; total queue capacity is
     /// `workers * queue_per_worker`, beyond which requests are shed.
@@ -285,6 +291,12 @@ impl ServeServer {
             detail: e.to_string(),
         })?;
         let stop = Arc::new(AtomicBool::new(false));
+        // What the pool below spawns: `ServicePool` clamps to
+        // MAX_THREADS, and the shed-all drill spawns nothing.
+        let workers = match config.queue_per_worker {
+            0 => 0,
+            _ => config.workers.min(ppm_exec::MAX_THREADS),
+        };
         let metrics = Registry::new();
         let counters = Counters::resolve(&metrics);
         let state = Arc::new(ServeState {
@@ -297,8 +309,8 @@ impl ServeServer {
             degrade_depth: config.degrade_depth,
             fail_streak: config.fail_streak.max(1),
             probe_every: config.probe_every.max(1),
-            workers: config.workers,
-            queue_capacity: config.workers * config.queue_per_worker,
+            workers,
+            queue_capacity: workers.saturating_mul(config.queue_per_worker),
             fault: config.chaos.map(crate::chaos::fault_plan),
             queued: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
@@ -333,7 +345,7 @@ impl ServeServer {
             Some(
                 ServicePool::with_worker_ids(
                     "serve",
-                    config.workers,
+                    workers,
                     config.queue_per_worker,
                     move |worker, conn: Conn| {
                         worker_state.queued.fetch_sub(1, Ordering::SeqCst);

@@ -24,6 +24,15 @@ pub enum ArgError {
     },
     /// A positional argument appeared where a flag was expected.
     Unexpected(String),
+    /// The command word names no command.
+    UnknownCommand(String),
+    /// A flag the command does not accept.
+    UnknownFlag {
+        /// The command word.
+        command: String,
+        /// The rejected flag.
+        flag: String,
+    },
     /// A required flag is absent.
     Required(&'static str),
 }
@@ -40,6 +49,12 @@ impl fmt::Display for ArgError {
                 expected,
             } => write!(f, "flag {flag}: {value:?} is not a valid {expected}"),
             ArgError::Unexpected(arg) => write!(f, "unexpected argument {arg:?}"),
+            ArgError::UnknownCommand(command) => {
+                write!(f, "unknown command {command:?} (try `ppm help`)")
+            }
+            ArgError::UnknownFlag { command, flag } => {
+                write!(f, "`ppm {command}` does not accept {flag} (try `ppm help`)")
+            }
             ArgError::Required(flag) => write!(f, "missing required flag {flag}"),
         }
     }
@@ -58,23 +73,92 @@ pub struct Parsed {
     positionals: Vec<String>,
 }
 
-/// Flags that take no value.
-const SWITCHES: [&str; 8] = [
-    "--energy",
-    "--trace",
-    "--quiet",
-    "--resume",
-    "--no-ledger",
-    "--once",
-    "--no-trace",
-    "--no-trace-check",
+/// The simulated machine's configuration flags (`config_from`).
+macro_rules! config_flags {
+    () => {
+        "--depth --rob --iq --lsq --l2-kb --l2-lat --il1-kb --dl1-kb --dl1-lat"
+    };
+}
+
+/// The workload surrogate and its trace.
+macro_rules! workload_flags {
+    () => {
+        "--benchmark --instructions --seed"
+    };
+}
+
+/// Every command with the flags it accepts: flags that take a value,
+/// then `|` and the switches. A leading `<addr>` marks a command that
+/// takes bare positional arguments (`ppm serve 127.0.0.1:8080`).
+const COMMANDS: &[(&str, &str)] = &[
+    ("help", ""),
+    ("benchmarks", ""),
+    (
+        "simulate",
+        concat!(
+            workload_flags!(),
+            " ",
+            config_flags!(),
+            " --batch | --energy"
+        ),
+    ),
+    (
+        "build",
+        concat!(
+            workload_flags!(),
+            " --out --sample --metric --holdout --train-threads --lhs-candidates \
+             --checkpoint | --resume"
+        ),
+    ),
+    ("predict", concat!(config_flags!(), " --model")),
+    ("screen", "--benchmark --instructions"),
+    (
+        "firstorder",
+        concat!(workload_flags!(), " ", config_flags!()),
+    ),
+    ("workload-info", workload_flags!()),
+    (
+        "report",
+        "--candidate --against --json-out --max-stage-ratio --min-stage-us \
+         --max-error-ratio --error-slack-pp --counter-tol",
+    ),
+    ("check-trace", "--file"),
+    ("bench-export", "--ledger --stage --bench --out"),
+    ("lint", "--root --conf --format --rule"),
+    ("top", "<addr> --interval-ms | --once"),
+    (
+        "tail",
+        "<addr> --interval-ms --limit --outcome --min-ms | --once",
+    ),
+    (
+        "serve",
+        "<addr> --registry --benchmark --chaos --workers --queue --deadline-ms \
+         --max-deadline-ms --degrade-depth --fail-streak --probe-every --trace-ring \
+         --trace-sample --trace-slow-keep --slo-availability --slo-latency-ms | --no-trace",
+    ),
+    ("publish", "--model --registry"),
+    (
+        "loadtest",
+        "<addr> --requests --concurrency --rate --deadline-ms --slo-p99-ms --out --ab \
+         --ab-out | --no-trace-check",
+    ),
 ];
 
-/// Commands that accept bare positional arguments after the command
-/// word (`ppm top 127.0.0.1:9090`, `ppm serve 127.0.0.1:8080`).
-/// Everything else treats a stray positional as an error, preserving
-/// the strict historical surface.
-const POSITIONAL_COMMANDS: [&str; 4] = ["top", "serve", "loadtest", "tail"];
+/// The observability flags, accepted by every command.
+const OBSERVABILITY: &str =
+    "--metrics-out --live --trace-out --ledger-out --ledger-dir | --quiet --trace --no-ledger";
+
+/// `Some(true)` when `accepts` (a [`COMMANDS`] entry) lists `flag` as a
+/// switch, `Some(false)` when it takes a value, `None` when absent.
+fn is_switch(accepts: &str, flag: &str) -> Option<bool> {
+    let (values, switches) = accepts.split_once('|').unwrap_or((accepts, ""));
+    let listed = |list: &str| list.split_whitespace().any(|f| f == flag);
+    if listed(values) {
+        Some(false)
+    } else {
+        listed(switches).then_some(true)
+    }
+}
 
 impl Parsed {
     /// Parses raw arguments (excluding the program name).
@@ -98,20 +182,29 @@ impl Parsed {
         if command.starts_with('-') {
             return Err(ArgError::Unexpected(command));
         }
+        let accepts = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|&(_, accepts)| accepts)
+            .ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
         let mut values = BTreeMap::new();
         let mut switches = Vec::new();
         let mut positionals = Vec::new();
         while let Some(arg) = iter.next() {
             if !arg.starts_with("--") {
-                if POSITIONAL_COMMANDS.contains(&command.as_str()) {
+                if accepts.starts_with("<addr>") {
                     positionals.push(arg);
                     continue;
                 }
                 return Err(ArgError::Unexpected(arg));
             }
-            if SWITCHES.contains(&arg.as_str()) {
-                switches.push(arg);
-                continue;
+            match is_switch(accepts, &arg).or_else(|| is_switch(OBSERVABILITY, &arg)) {
+                Some(true) => {
+                    switches.push(arg);
+                    continue;
+                }
+                Some(false) => {}
+                None => return Err(ArgError::UnknownFlag { command, flag: arg }),
             }
             let value = iter
                 .next()
@@ -128,8 +221,8 @@ impl Parsed {
         })
     }
 
-    /// Positional arguments after the command word (only commands in
-    /// the positional allowlist ever have any).
+    /// Positional arguments after the command word (only positional
+    /// commands ever have any).
     pub fn positionals(&self) -> &[String] {
         &self.positionals
     }
@@ -185,14 +278,6 @@ impl Parsed {
         pairs.sort();
         pairs
     }
-
-    /// All flag names that were provided (for validation).
-    pub fn provided_flags(&self) -> impl Iterator<Item = &str> {
-        self.values
-            .keys()
-            .map(String::as_str)
-            .chain(self.switches.iter().map(String::as_str))
-    }
 }
 
 #[cfg(test)]
@@ -228,14 +313,14 @@ mod tests {
             Err(ArgError::MissingValue(_))
         ));
         assert!(matches!(
-            parse(&["build", "--rob", "1", "--rob", "2"]),
+            parse(&["simulate", "--rob", "1", "--rob", "2"]),
             Err(ArgError::Duplicate(_))
         ));
         assert!(matches!(
             parse(&["build", "stray"]),
             Err(ArgError::Unexpected(_))
         ));
-        let p = parse(&["build", "--rob", "lots"]).unwrap();
+        let p = parse(&["simulate", "--rob", "lots"]).unwrap();
         assert!(matches!(
             p.num("--rob", 0u32),
             Err(ArgError::BadValue { .. })
@@ -244,6 +329,38 @@ mod tests {
             p.require("--out"),
             Err(ArgError::Required("--out"))
         ));
+    }
+
+    #[test]
+    fn flags_outside_the_command_table_are_rejected() {
+        assert_eq!(
+            parse(&["simulate", "--robb", "3"]),
+            Err(ArgError::UnknownFlag {
+                command: "simulate".into(),
+                flag: "--robb".into()
+            })
+        );
+        // Flags are per command: `build` reads no machine configuration
+        // and `--once` is a switch of `top` and `tail` only.
+        for args in [
+            &["lint", "--rules", "nonsense"][..],
+            &["build", "--rob", "96"],
+            &["build", "--once"],
+        ] {
+            assert!(
+                matches!(parse(args), Err(ArgError::UnknownFlag { .. })),
+                "{args:?}"
+            );
+        }
+        // The observability flags ride along on every command.
+        for (command, _) in COMMANDS {
+            let p = parse(&[command, "--quiet", "--metrics-out", "m.jsonl"]).unwrap();
+            assert!(p.switch("--quiet"), "{command}");
+        }
+        assert_eq!(
+            parse(&["analyze"]),
+            Err(ArgError::UnknownCommand("analyze".into()))
+        );
     }
 
     #[test]

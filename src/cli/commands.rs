@@ -289,10 +289,26 @@ fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
         })
         .transpose()?;
     let defaults = ppm_serve::ServeConfig::default();
+    // Bounded here, before anything binds or spawns: every worker is a
+    // thread and every queue slot is allocated up front.
+    let workers = parsed.num("--workers", defaults.workers)?;
+    if !(1..=ppm_exec::MAX_THREADS).contains(&workers) {
+        return Err(CliError::Usage(format!(
+            "--workers wants 1..={} worker threads, got {workers}",
+            ppm_exec::MAX_THREADS
+        )));
+    }
+    let queue_per_worker = parsed.num("--queue", defaults.queue_per_worker)?;
+    if queue_per_worker > ppm_serve::MAX_QUEUE_PER_WORKER {
+        return Err(CliError::Usage(format!(
+            "--queue wants at most {} slots per worker, got {queue_per_worker}",
+            ppm_serve::MAX_QUEUE_PER_WORKER
+        )));
+    }
     let config = ppm_serve::ServeConfig {
         addr,
-        workers: parsed.num("--workers", defaults.workers)?,
-        queue_per_worker: parsed.num("--queue", defaults.queue_per_worker)?,
+        workers,
+        queue_per_worker,
         default_deadline: std::time::Duration::from_millis(parsed.num(
             "--deadline-ms",
             u64::try_from(defaults.default_deadline.as_millis()).unwrap_or(250),
@@ -1374,6 +1390,38 @@ mod tests {
     fn serve_with_bad_chaos_seed_is_a_usage_error() {
         let err = run_cli(&["serve", "127.0.0.1:0", "--chaos", "banana"]).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
+    }
+
+    #[test]
+    fn serve_pool_bounds_are_usage_errors_before_anything_starts() {
+        // Each value is rejected before the registry opens, the address
+        // binds or a thread spawns: the unroutable address and missing
+        // registry would otherwise fail with exit code 8.
+        let too_many = (ppm_exec::MAX_THREADS + 1).to_string();
+        let too_deep = (ppm_serve::MAX_QUEUE_PER_WORKER + 1).to_string();
+        for (flag, value) in [
+            ("--workers", "0"),
+            ("--workers", too_many.as_str()),
+            ("--workers", "18446744073709551615"),
+            ("--queue", too_deep.as_str()),
+            ("--queue", "18446744073709551615"),
+        ] {
+            let err = run_cli(&[
+                "serve",
+                "256.0.0.1:1",
+                "--registry",
+                "/nonexistent/ppm-registry",
+                flag,
+                value,
+            ])
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{flag} {value}: {err}");
+            assert!(err.to_string().contains(flag), "{err}");
+        }
+        // The usage text documents the same bounds.
+        let usage = crate::cli::USAGE;
+        assert!(usage.contains(&format!("1..{}", ppm_exec::MAX_THREADS)));
+        assert!(usage.contains(&format!("at most {}", ppm_serve::MAX_QUEUE_PER_WORKER)));
     }
 
     #[test]

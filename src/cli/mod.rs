@@ -149,9 +149,10 @@ EXIT CODES:
 SERVING FLAGS (`serve`):
   --registry <dir>    model registry (default registry/)
   --benchmark <b>     serve analytically when no model loads (degraded)
-  --workers <n>       prediction workers (default 4)
-  --queue <n>         queue slots per worker; full queues shed (default 8;
-                      0 = shed-all drill mode: every request refused)
+  --workers <n>       prediction worker threads, 1..256 (default 4)
+  --queue <n>         queue slots per worker, at most 1024; full queues
+                      shed (default 8; 0 = shed-all drill mode: every
+                      request refused)
   --deadline-ms <n>   default request deadline (default 250)
   --max-deadline-ms <n>  cap on client ?deadline_ms= requests (default 5000)
   --degrade-depth <n> queue depth that degrades predictions to the

@@ -42,3 +42,55 @@ fn boundary_values_exit_with_documented_codes_and_never_panic() {
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+#[test]
+fn unknown_flags_are_usage_errors_that_name_the_flag() {
+    for (args, flag) in [
+        ("lint --rules nonsense", "--rules"),
+        ("simulate --benchmark mcf --robb 3", "--robb"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
+            .args(args.split_whitespace())
+            .args(["--no-ledger", "--quiet"])
+            .output()
+            .expect("run ppm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "ppm {args}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(flag),
+            "ppm {args}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "ppm {args} ran anyway");
+    }
+}
+
+#[test]
+fn every_flag_in_the_usage_text_is_accepted_by_some_command() {
+    use ppm::cli::{ArgError, Parsed, USAGE};
+    // Command words open the lines of the COMMANDS section that are
+    // indented by exactly two spaces.
+    let section = USAGE.split("COMMANDS:\n").nth(1).expect("COMMANDS section");
+    let commands: Vec<&str> = section
+        .split("\n\n")
+        .next()
+        .unwrap_or_default()
+        .lines()
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(
+        commands.contains(&"benchmarks") && commands.contains(&"help"),
+        "{commands:?}"
+    );
+    let flags: std::collections::BTreeSet<&str> = USAGE
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.len() > 2 && w.starts_with("--"))
+        .collect();
+    for flag in flags {
+        let accepted = commands.iter().any(|command| {
+            let args = [command, flag, "1"].map(str::to_string);
+            !matches!(Parsed::parse(args), Err(ArgError::UnknownFlag { .. }))
+        });
+        assert!(accepted, "{flag} is documented but no command accepts it");
+    }
+}
