@@ -86,10 +86,7 @@ pub struct ServeView {
 }
 
 fn u64_field(doc: &Json, key: &str) -> u64 {
-    doc.get(key)
-        .and_then(Json::as_i64)
-        .map(|v| v.max(0) as u64)
-        .unwrap_or(0)
+    doc.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 /// Polls `addr`'s `/buildz` and `/eventz` routes and assembles a

@@ -62,30 +62,27 @@ impl BenchRecord {
     /// The deterministic half of the document: identical for
     /// byte-identical runs, whatever the clock said.
     pub fn body_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bench".to_string(), Json::Str(self.bench.clone())),
-            ("unit".to_string(), Json::Str(self.unit.clone())),
+        Json::obj([
+            ("bench", Json::Str(self.bench.clone())),
+            ("unit", Json::Str(self.unit.clone())),
         ])
     }
 
     /// The wall-clock sidecar: the measurement and its provenance.
     pub fn timing_json(&self) -> Json {
-        Json::Obj(vec![
-            ("wall_ms".to_string(), Json::Float(self.wall_ms)),
-            ("source_run".to_string(), Json::Str(self.source_run.clone())),
-            (
-                "created_unix_ms".to_string(),
-                Json::from(self.created_unix_ms),
-            ),
+        Json::obj([
+            ("wall_ms", Json::Float(self.wall_ms)),
+            ("source_run", Json::Str(self.source_run.clone())),
+            ("created_unix_ms", Json::from(self.created_unix_ms)),
         ])
     }
 
     /// The full `ppm-bench v1` document.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(BENCH_SCHEMA.to_string())),
-            ("body".to_string(), self.body_json()),
-            ("timing".to_string(), self.timing_json()),
+        Json::obj([
+            ("schema", Json::Str(BENCH_SCHEMA.to_string())),
+            ("body", self.body_json()),
+            ("timing", self.timing_json()),
         ])
     }
 
@@ -130,8 +127,7 @@ impl BenchRecord {
             source_run: req_str(&timing, "source_run")?,
             created_unix_ms: timing
                 .get("created_unix_ms")
-                .and_then(Json::as_i64)
-                .map(|v| v.max(0) as u64)
+                .and_then(Json::as_u64)
                 .unwrap_or(0),
         })
     }

@@ -81,16 +81,13 @@ impl Ledger {
             .iter()
             .map(metric_json)
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from(LEDGER_SCHEMA)),
-            ("command".to_string(), Json::from(self.command.as_str())),
-            ("args".to_string(), Json::Obj(args)),
-            ("env".to_string(), Json::Obj(env)),
-            ("metrics".to_string(), Json::Arr(metrics)),
-            (
-                "diagnostics".to_string(),
-                self.diagnostics.clone().unwrap_or(Json::Null),
-            ),
+        Json::obj([
+            ("schema", Json::from(LEDGER_SCHEMA)),
+            ("command", Json::from(self.command.as_str())),
+            ("args", Json::Obj(args)),
+            ("env", Json::Obj(env)),
+            ("metrics", Json::Arr(metrics)),
+            ("diagnostics", Json::from(self.diagnostics.clone())),
         ])
     }
 
@@ -105,32 +102,23 @@ impl Ledger {
             .stages
             .iter()
             .map(|s| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::from(s.name.as_str())),
-                    ("wall_us".to_string(), Json::from(s.wall_us)),
-                    (
-                        "cpu_us".to_string(),
-                        s.cpu_us.map(Json::from).unwrap_or(Json::Null),
-                    ),
+                Json::obj([
+                    ("name", Json::from(s.name.as_str())),
+                    ("wall_us", Json::from(s.wall_us)),
+                    ("cpu_us", Json::from(s.cpu_us)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from(LEDGER_SCHEMA)),
-            ("run_id".to_string(), Json::from(self.run_id.as_str())),
+        Json::obj([
+            ("schema", Json::from(LEDGER_SCHEMA)),
+            ("run_id", Json::from(self.run_id.as_str())),
+            ("created_unix_ms", Json::from(self.created_unix_ms)),
             (
-                "created_unix_ms".to_string(),
-                Json::from(self.created_unix_ms),
-            ),
-            (
-                "timings".to_string(),
-                Json::Obj(vec![
-                    ("total_wall_us".to_string(), Json::from(self.total_wall_us)),
-                    (
-                        "total_cpu_us".to_string(),
-                        self.total_cpu_us.map(Json::from).unwrap_or(Json::Null),
-                    ),
-                    ("stages".to_string(), Json::Arr(stages)),
+                "timings",
+                Json::obj([
+                    ("total_wall_us", Json::from(self.total_wall_us)),
+                    ("total_cpu_us", Json::from(self.total_cpu_us)),
+                    ("stages", Json::Arr(stages)),
                 ]),
             ),
         ])
@@ -138,10 +126,7 @@ impl Ledger {
 
     /// The full two-block document.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("header".to_string(), self.header_json()),
-            ("body".to_string(), self.body_json()),
-        ])
+        Json::obj([("header", self.header_json()), ("body", self.body_json())])
     }
 
     /// Serializes the full document (compact, one line).
@@ -290,46 +275,36 @@ pub fn deterministic_metrics(snapshot: &[MetricRecord]) -> Vec<MetricRecord> {
 /// One metric as a ledger JSON object (same field names as the JSONL
 /// sink's `metric` lines, minus the `"t"` tag).
 fn metric_json(m: &MetricRecord) -> Json {
-    let mut entries = vec![(
-        "kind".to_string(),
-        Json::from(match m.kind {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }),
-    )];
-    entries.push(("name".to_string(), Json::from(m.name.as_str())));
+    let kind = match m.kind {
+        MetricKind::Counter => "counter",
+        MetricKind::Gauge => "gauge",
+        MetricKind::Histogram => "histogram",
+    };
+    let mut entries = vec![
+        ("kind", Json::from(kind)),
+        ("name", Json::from(m.name.as_str())),
+    ];
     match m.kind {
-        MetricKind::Counter => {
-            entries.push(("value".to_string(), Json::from(m.value.unwrap_or(0))));
-        }
-        MetricKind::Gauge => {
-            let v = m.gauge.unwrap_or(0.0);
-            entries.push((
-                "value".to_string(),
-                if v.is_finite() {
-                    Json::Float(v)
-                } else {
-                    Json::Null
-                },
-            ));
-        }
+        MetricKind::Counter => entries.push(("value", Json::from(m.value.unwrap_or(0)))),
+        // A non-finite gauge serializes as `null`.
+        MetricKind::Gauge => entries.push(("value", Json::Float(m.gauge.unwrap_or(0.0)))),
         MetricKind::Histogram => {
             let (count, sum, min, max, p50, p95, p99) = m.hist.unwrap_or((0, 0, 0, 0, 0, 0, 0));
-            for (k, v) in [
-                ("count", count),
-                ("sum", sum),
-                ("min", min),
-                ("max", max),
-                ("p50", p50),
-                ("p95", p95),
-                ("p99", p99),
-            ] {
-                entries.push((k.to_string(), Json::from(v)));
-            }
+            entries.extend(
+                [
+                    ("count", count),
+                    ("sum", sum),
+                    ("min", min),
+                    ("max", max),
+                    ("p50", p50),
+                    ("p95", p95),
+                    ("p99", p99),
+                ]
+                .map(|(k, v)| (k, Json::from(v))),
+            );
         }
     }
-    Json::Obj(entries)
+    Json::obj(entries)
 }
 
 /// FNV-1a 64-bit over `bytes`, rendered as 16 lowercase hex digits —
@@ -397,7 +372,7 @@ mod tests {
                     exemplar: None,
                 },
             ],
-            diagnostics: Some(Json::Obj(vec![("mean_pct".to_string(), Json::Float(2.1))])),
+            diagnostics: Some(Json::obj([("mean_pct", Json::Float(2.1))])),
             stages: vec![StageTiming {
                 name: "stage.rbf_train".to_string(),
                 wall_us: 139_000,

@@ -153,23 +153,23 @@ impl Report {
             .findings
             .iter()
             .map(|f| {
-                Json::Obj(vec![
-                    ("category".to_string(), Json::from(f.category.label())),
-                    ("name".to_string(), Json::from(f.name.as_str())),
-                    ("baseline".to_string(), Json::Float(f.baseline)),
-                    ("candidate".to_string(), Json::Float(f.candidate)),
-                    ("ratio".to_string(), Json::Float(f.ratio)),
-                    ("limit".to_string(), Json::Float(f.limit)),
-                    ("regressed".to_string(), Json::Bool(f.regressed)),
+                Json::obj([
+                    ("category", Json::from(f.category.label())),
+                    ("name", Json::from(f.name.as_str())),
+                    ("baseline", Json::Float(f.baseline)),
+                    ("candidate", Json::Float(f.candidate)),
+                    ("ratio", Json::Float(f.ratio)),
+                    ("limit", Json::Float(f.limit)),
+                    ("regressed", Json::Bool(f.regressed)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::from("ppm-report v1")),
-            ("regressed".to_string(), Json::Bool(self.regressed())),
-            ("findings".to_string(), Json::Arr(findings)),
+        Json::obj([
+            ("schema", Json::from("ppm-report v1")),
+            ("regressed", Json::Bool(self.regressed())),
+            ("findings", Json::Arr(findings)),
             (
-                "unmatched".to_string(),
+                "unmatched",
                 Json::Arr(
                     self.unmatched
                         .iter()
@@ -436,9 +436,9 @@ fn counters(doc: &Json) -> Vec<(String, u64)> {
             if m.get("kind").and_then(Json::as_str) == Some("counter") {
                 if let (Some(name), Some(v)) = (
                     m.get("name").and_then(Json::as_str),
-                    m.get("value").and_then(Json::as_i64),
+                    m.get("value").and_then(Json::as_u64),
                 ) {
-                    out.push((name.to_string(), v.max(0) as u64));
+                    out.push((name.to_string(), v));
                 }
             }
         }

@@ -155,15 +155,15 @@ impl FlightRecorder {
                     if let Some(p) = parent {
                         args.push(("parent".to_string(), Json::from(p.as_str())));
                     }
-                    events.push(Json::Obj(vec![
-                        ("ph".to_string(), Json::from("X")),
-                        ("name".to_string(), Json::from(name.as_str())),
-                        ("cat".to_string(), Json::from("span")),
-                        ("pid".to_string(), Json::Int(1)),
-                        ("tid".to_string(), Json::from(*tid)),
-                        ("ts".to_string(), Json::from(*start_us)),
-                        ("dur".to_string(), Json::from(*dur_us)),
-                        ("args".to_string(), Json::Obj(args)),
+                    events.push(Json::obj([
+                        ("ph", Json::from("X")),
+                        ("name", Json::from(name.as_str())),
+                        ("cat", Json::from("span")),
+                        ("pid", Json::Int(1)),
+                        ("tid", Json::from(*tid)),
+                        ("ts", Json::from(*start_us)),
+                        ("dur", Json::from(*dur_us)),
+                        ("args", Json::Obj(args)),
                     ]));
                 }
                 Entry::Instant {
@@ -173,18 +173,15 @@ impl FlightRecorder {
                     depth,
                 } => {
                     note_tid(&mut tids, *tid);
-                    events.push(Json::Obj(vec![
-                        ("ph".to_string(), Json::from("i")),
-                        ("name".to_string(), Json::from(name.as_str())),
-                        ("cat".to_string(), Json::from("event")),
-                        ("pid".to_string(), Json::Int(1)),
-                        ("tid".to_string(), Json::from(*tid)),
-                        ("ts".to_string(), Json::from(*ts_us)),
-                        ("s".to_string(), Json::from("t")),
-                        (
-                            "args".to_string(),
-                            Json::Obj(vec![("depth".to_string(), Json::from(*depth))]),
-                        ),
+                    events.push(Json::obj([
+                        ("ph", Json::from("i")),
+                        ("name", Json::from(name.as_str())),
+                        ("cat", Json::from("event")),
+                        ("pid", Json::Int(1)),
+                        ("tid", Json::from(*tid)),
+                        ("ts", Json::from(*ts_us)),
+                        ("s", Json::from("t")),
+                        ("args", Json::obj([("depth", Json::from(*depth))])),
                     ]));
                 }
             }
@@ -197,20 +194,17 @@ impl FlightRecorder {
             } else {
                 format!("worker-{tid}")
             };
-            events.push(Json::Obj(vec![
-                ("ph".to_string(), Json::from("M")),
-                ("name".to_string(), Json::from("thread_name")),
-                ("pid".to_string(), Json::Int(1)),
-                ("tid".to_string(), Json::from(tid)),
-                (
-                    "args".to_string(),
-                    Json::Obj(vec![("name".to_string(), Json::from(label))]),
-                ),
+            events.push(Json::obj([
+                ("ph", Json::from("M")),
+                ("name", Json::from("thread_name")),
+                ("pid", Json::Int(1)),
+                ("tid", Json::from(tid)),
+                ("args", Json::obj([("name", Json::from(label))])),
             ]));
         }
-        Json::Obj(vec![
-            ("displayTimeUnit".to_string(), Json::from("ms")),
-            ("traceEvents".to_string(), Json::Arr(events)),
+        Json::obj([
+            ("displayTimeUnit", Json::from("ms")),
+            ("traceEvents", Json::Arr(events)),
         ])
         .dump()
     }

@@ -148,15 +148,12 @@ impl TraceCheckReport {
 
     /// The check as a JSON object.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("prefix".to_string(), Json::Str(self.prefix.clone())),
-            ("checked".to_string(), Json::Bool(self.checked)),
+        Json::obj([
+            ("prefix", Json::Str(self.prefix.clone())),
+            ("checked", Json::Bool(self.checked)),
+            ("matched_traces", Json::from(self.matched_traces)),
             (
-                "matched_traces".to_string(),
-                Json::from(self.matched_traces),
-            ),
-            (
-                "mismatches".to_string(),
+                "mismatches",
                 Json::Arr(
                     self.mismatches
                         .iter()
@@ -171,44 +168,26 @@ impl TraceCheckReport {
 impl LoadtestReport {
     /// The report as a JSON document (`ppm-loadtest v1`).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        Json::obj([
+            ("schema", Json::Str("ppm-loadtest v1".to_string())),
+            ("sent", Json::from(self.sent)),
+            ("ok", Json::from(self.ok)),
+            ("degraded", Json::from(self.degraded)),
+            ("shed", Json::from(self.shed)),
+            ("deadline_exceeded", Json::from(self.deadline_exceeded)),
+            ("errors", Json::from(self.errors)),
+            ("p50_ms", Json::Float(self.p50_ms)),
+            ("p95_ms", Json::Float(self.p95_ms)),
+            ("p99_ms", Json::Float(self.p99_ms)),
+            ("mean_ms", Json::Float(self.mean_ms)),
+            ("refusal_p50_ms", Json::Float(self.refusal_p50_ms)),
+            ("refusal_p99_ms", Json::Float(self.refusal_p99_ms)),
+            ("refusal_mean_ms", Json::Float(self.refusal_mean_ms)),
+            ("wall_ms", Json::Float(self.wall_ms)),
+            ("rps", Json::Float(self.rps)),
             (
-                "schema".to_string(),
-                Json::Str("ppm-loadtest v1".to_string()),
-            ),
-            ("sent".to_string(), Json::from(self.sent)),
-            ("ok".to_string(), Json::from(self.ok)),
-            ("degraded".to_string(), Json::from(self.degraded)),
-            ("shed".to_string(), Json::from(self.shed)),
-            (
-                "deadline_exceeded".to_string(),
-                Json::from(self.deadline_exceeded),
-            ),
-            ("errors".to_string(), Json::from(self.errors)),
-            ("p50_ms".to_string(), Json::Float(self.p50_ms)),
-            ("p95_ms".to_string(), Json::Float(self.p95_ms)),
-            ("p99_ms".to_string(), Json::Float(self.p99_ms)),
-            ("mean_ms".to_string(), Json::Float(self.mean_ms)),
-            (
-                "refusal_p50_ms".to_string(),
-                Json::Float(self.refusal_p50_ms),
-            ),
-            (
-                "refusal_p99_ms".to_string(),
-                Json::Float(self.refusal_p99_ms),
-            ),
-            (
-                "refusal_mean_ms".to_string(),
-                Json::Float(self.refusal_mean_ms),
-            ),
-            ("wall_ms".to_string(), Json::Float(self.wall_ms)),
-            ("rps".to_string(), Json::Float(self.rps)),
-            (
-                "trace_check".to_string(),
-                match &self.trace_check {
-                    Some(check) => check.to_json(),
-                    None => Json::Null,
-                },
+                "trace_check",
+                Json::from(self.trace_check.as_ref().map(TraceCheckReport::to_json)),
             ),
         ])
     }
@@ -385,12 +364,7 @@ fn statusz_counters(
         return Err(format!("/statusz answered {status}"));
     }
     let doc = Json::parse(&body).map_err(|e| format!("/statusz is not JSON: {e}"))?;
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_i64)
-            .map(|v| v.max(0) as u64)
-            .unwrap_or(0)
-    };
+    let field = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
     let mut out = std::collections::BTreeMap::new();
     out.insert("requests", field("requests"));
     out.insert("ok", field("ok"));
@@ -537,19 +511,13 @@ impl AbReport {
 
     /// The A/B comparison as a JSON document (`ppm-loadtest-ab v1`).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str("ppm-loadtest-ab v1".to_string()),
-            ),
-            ("traced_p99_ms".to_string(), Json::Float(self.traced.p99_ms)),
-            (
-                "baseline_p99_ms".to_string(),
-                Json::Float(self.baseline.p99_ms),
-            ),
-            ("overhead_pct".to_string(), Json::Float(self.overhead_pct)),
-            ("traced".to_string(), self.traced.to_json()),
-            ("baseline".to_string(), self.baseline.to_json()),
+        Json::obj([
+            ("schema", Json::Str("ppm-loadtest-ab v1".to_string())),
+            ("traced_p99_ms", Json::Float(self.traced.p99_ms)),
+            ("baseline_p99_ms", Json::Float(self.baseline.p99_ms)),
+            ("overhead_pct", Json::Float(self.overhead_pct)),
+            ("traced", self.traced.to_json()),
+            ("baseline", self.baseline.to_json()),
         ])
     }
 }

@@ -320,12 +320,12 @@ impl ServeServer {
             counters,
             trace: (config.trace && config.trace_ring > 0).then(|| {
                 TraceRing::new(
+                    &metrics,
                     TraceConfig {
                         capacity: config.trace_ring,
                         sample_one_in: config.trace_sample,
                         slow_keep: config.trace_slow_keep,
                     },
-                    &metrics,
                 )
             }),
             metrics,

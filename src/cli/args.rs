@@ -35,6 +35,8 @@ pub enum ArgError {
     },
     /// A required flag is absent.
     Required(&'static str),
+    /// A command that acts on an address was given none.
+    MissingAddress(String),
 }
 
 impl fmt::Display for ArgError {
@@ -56,6 +58,9 @@ impl fmt::Display for ArgError {
                 write!(f, "`ppm {command}` does not accept {flag} (try `ppm help`)")
             }
             ArgError::Required(flag) => write!(f, "missing required flag {flag}"),
+            ArgError::MissingAddress(command) => {
+                write!(f, "usage: ppm {command} <addr> [flags] (see `ppm help`)")
+            }
         }
     }
 }
@@ -76,80 +81,61 @@ pub struct Parsed {
 /// The simulated machine's configuration flags (`config_from`).
 macro_rules! config_flags {
     () => {
-        "--depth --rob --iq --lsq --l2-kb --l2-lat --il1-kb --dl1-kb --dl1-lat"
+        "--depth --rob --iq --lsq --l2-kb --l2-lat --il1-kb --dl1-kb --dl1-lat "
     };
 }
 
 /// The workload surrogate and its trace.
 macro_rules! workload_flags {
     () => {
-        "--benchmark --instructions --seed"
+        "--benchmark --instructions --seed "
     };
 }
 
-/// Every command with the flags it accepts: flags that take a value,
-/// then `|` and the switches. A leading `<addr>` marks a command that
-/// takes bare positional arguments (`ppm serve 127.0.0.1:8080`).
-const COMMANDS: &[(&str, &str)] = &[
-    ("help", ""),
-    ("benchmarks", ""),
-    (
-        "simulate",
-        concat!(
-            workload_flags!(),
-            " ",
-            config_flags!(),
-            " --batch | --energy"
-        ),
+/// Every command with the flags it accepts: its name, the flags that
+/// take a value, then `|` and the switches. `<addr>` marks a command
+/// that takes bare positional arguments (`ppm serve 127.0.0.1:8080`).
+const COMMANDS: &[&str] = &[
+    "help",
+    "benchmarks",
+    concat!(
+        "simulate ",
+        workload_flags!(),
+        config_flags!(),
+        "--batch | --energy"
     ),
-    (
-        "build",
-        concat!(
-            workload_flags!(),
-            " --out --sample --metric --holdout --train-threads --lhs-candidates \
-             --checkpoint | --resume"
-        ),
+    concat!(
+        "build ",
+        workload_flags!(),
+        "--out --sample --metric --holdout --train-threads --lhs-candidates --checkpoint \
+         | --resume"
     ),
-    ("predict", concat!(config_flags!(), " --model")),
-    ("screen", "--benchmark --instructions"),
-    (
-        "firstorder",
-        concat!(workload_flags!(), " ", config_flags!()),
-    ),
-    ("workload-info", workload_flags!()),
-    (
-        "report",
-        "--candidate --against --json-out --max-stage-ratio --min-stage-us \
-         --max-error-ratio --error-slack-pp --counter-tol",
-    ),
-    ("check-trace", "--file"),
-    ("bench-export", "--ledger --stage --bench --out"),
-    ("lint", "--root --conf --format --rule"),
-    ("top", "<addr> --interval-ms | --once"),
-    (
-        "tail",
-        "<addr> --interval-ms --limit --outcome --min-ms | --once",
-    ),
-    (
-        "serve",
-        "<addr> --registry --benchmark --chaos --workers --queue --deadline-ms \
-         --max-deadline-ms --degrade-depth --fail-streak --probe-every --trace-ring \
-         --trace-sample --trace-slow-keep --slo-availability --slo-latency-ms | --no-trace",
-    ),
-    ("publish", "--model --registry"),
-    (
-        "loadtest",
-        "<addr> --requests --concurrency --rate --deadline-ms --slo-p99-ms --out --ab \
-         --ab-out | --no-trace-check",
-    ),
+    concat!("predict ", config_flags!(), "--model"),
+    "screen --benchmark --instructions",
+    concat!("firstorder ", workload_flags!(), config_flags!()),
+    concat!("workload-info ", workload_flags!()),
+    "report --candidate --against --json-out --max-stage-ratio --min-stage-us \
+     --max-error-ratio --error-slack-pp --counter-tol",
+    "check-trace --file",
+    "bench-export --ledger --stage --bench --out",
+    "lint --root --conf --format --rule",
+    "top <addr> --interval-ms | --once",
+    "tail <addr> --interval-ms --limit --outcome --min-ms | --once",
+    "serve <addr> --registry --benchmark --chaos --workers --queue --deadline-ms \
+     --max-deadline-ms --degrade-depth --fail-streak --probe-every --trace-ring \
+     --trace-sample --trace-slow-keep --slo-availability --slo-latency-ms | --no-trace",
+    "publish --model --registry",
+    "loadtest <addr> --requests --concurrency --rate --deadline-ms --slo-p99-ms --out \
+     --ab --ab-out | --no-trace-check",
 ];
 
 /// The observability flags, accepted by every command.
 const OBSERVABILITY: &str =
     "--metrics-out --live --trace-out --ledger-out --ledger-dir | --quiet --trace --no-ledger";
 
-/// `Some(true)` when `accepts` (a [`COMMANDS`] entry) lists `flag` as a
-/// switch, `Some(false)` when it takes a value, `None` when absent.
+/// `Some(true)` when `accepts` (a [`COMMANDS`] entry past its name)
+/// lists `flag` as a switch, `Some(false)` when it takes a value, `None`
+/// when absent.
 fn is_switch(accepts: &str, flag: &str) -> Option<bool> {
     let (values, switches) = accepts.split_once('|').unwrap_or((accepts, ""));
     let listed = |list: &str| list.split_whitespace().any(|f| f == flag);
@@ -184,8 +170,10 @@ impl Parsed {
         }
         let accepts = COMMANDS
             .iter()
-            .find(|(name, _)| *name == command)
-            .map(|&(_, accepts)| accepts)
+            .find_map(|spec| {
+                let (name, accepts) = spec.split_once(' ').unwrap_or((spec, ""));
+                (name == command).then_some(accepts)
+            })
             .ok_or_else(|| ArgError::UnknownCommand(command.clone()))?;
         let mut values = BTreeMap::new();
         let mut switches = Vec::new();
@@ -225,6 +213,19 @@ impl Parsed {
     /// commands ever have any).
     pub fn positionals(&self) -> &[String] {
         &self.positionals
+    }
+
+    /// The first positional argument: the address a positional
+    /// command acts on.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::MissingAddress`] when there is none.
+    pub fn address(&self) -> Result<String, ArgError> {
+        self.positionals
+            .first()
+            .cloned()
+            .ok_or_else(|| ArgError::MissingAddress(self.command.clone()))
     }
 
     /// A string flag's value, if present.
@@ -353,7 +354,8 @@ mod tests {
             );
         }
         // The observability flags ride along on every command.
-        for (command, _) in COMMANDS {
+        for spec in COMMANDS {
+            let command = spec.split(' ').next().unwrap_or_default();
             let p = parse(&[command, "--quiet", "--metrics-out", "m.jsonl"]).unwrap();
             assert!(p.switch("--quiet"), "{command}");
         }

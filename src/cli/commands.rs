@@ -224,14 +224,7 @@ pub fn start_live(parsed: &Parsed) -> Result<Option<ppm_live::LiveServer>, CliEr
 /// goes away — a vanished endpoint after a successful first poll means
 /// the watched run finished, and is a clean exit.
 fn top(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm top <addr> [--once] [--interval-ms <n>]".to_string(),
-            ))
-        }
-    };
+    let addr = parsed.address()?;
     let interval_ms: u64 = parsed.num("--interval-ms", 500u64)?;
     let quiet = parsed.switch("--quiet");
     let timeout = std::time::Duration::from_secs(2);
@@ -266,17 +259,7 @@ fn top(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// `crates/serve`). Blocks until `POST /quitz`. Registry/bind failures
 /// exit with code 8.
 fn serve(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm serve <addr> [--registry <dir>] [--benchmark <b>] \
-                 [--workers <n>] [--queue <n>] [--deadline-ms <n>] [--degrade-depth <n>] \
-                 [--chaos <seed>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.address()?;
     let fallback_benchmark = parsed
         .get("--benchmark")
         .map(|name| Benchmark::from_str(name).map_err(msg))
@@ -360,16 +343,7 @@ fn publish(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// quantiles; `--slo-p99-ms` turns the p99 into a regression gate
 /// (exit code 5), `--out` writes a `ppm-bench v1` perf-history file.
 fn loadtest(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm loadtest <addr> [--requests <n>] [--concurrency <n>] \
-                 [--rate <req/s>] [--deadline-ms <n>] [--slo-p99-ms <ms>] [--out <bench.json>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.address()?;
     let deadline_ms: u64 = parsed.num("--deadline-ms", 0u64)?;
     let defaults = ppm_serve::LoadtestConfig::default();
     let config = ppm_serve::LoadtestConfig {
@@ -515,16 +489,7 @@ fn report_trace_check(
 /// otherwise polls every `--interval-ms` until interrupted. A failed
 /// first poll (no server, tracing disabled) exits with code 8.
 fn tail(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
-    let addr = match parsed.positionals().first() {
-        Some(a) => a.clone(),
-        None => {
-            return Err(CliError::Usage(
-                "usage: ppm tail <addr> [--once] [--interval-ms <n>] [--limit <n>] \
-                 [--outcome <o>] [--min-ms <n>]"
-                    .to_string(),
-            ))
-        }
-    };
+    let addr = parsed.address()?;
     let min_ms: u64 = parsed.num("--min-ms", 0u64)?;
     let defaults = ppm_serve::TailConfig::default();
     let config = ppm_serve::TailConfig {

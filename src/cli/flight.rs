@@ -102,42 +102,32 @@ pub fn assemble_ledger(
 /// Every number here is a deterministic function of the configuration
 /// and seed, so it belongs in the hashed body.
 pub fn diagnostics_json(d: &ModelDiagnostics) -> Json {
-    let mut entries: Vec<(String, Json)> = Vec::new();
-    entries.push((
-        "holdout".to_string(),
-        match &d.holdout {
-            Some(h) => Json::Obj(vec![
-                ("mean_pct".to_string(), Json::Float(h.mean_pct)),
-                ("max_pct".to_string(), Json::Float(h.max_pct)),
-                ("std_pct".to_string(), Json::Float(h.std_pct)),
-            ]),
-            None => Json::Null,
-        },
-    ));
-    entries.push((
-        "regions".to_string(),
-        Json::Arr(
-            d.regions
-                .iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("leaf".to_string(), Json::from(r.leaf)),
-                        ("count".to_string(), Json::from(r.count)),
-                        ("mean_abs_pct".to_string(), Json::Float(r.mean_abs_pct)),
-                        ("max_abs_pct".to_string(), Json::Float(r.max_abs_pct)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    entries.push(("centers".to_string(), Json::from(d.centers)));
-    entries.push(("p_min".to_string(), Json::from(d.p_min)));
-    entries.push(("alpha".to_string(), Json::Float(d.alpha)));
-    entries.push(("aicc".to_string(), Json::Float(d.aicc)));
-    entries.push(("train_sse".to_string(), Json::Float(d.train_sse)));
-    entries.push(("discrepancy".to_string(), Json::Float(d.discrepancy)));
-    entries.push(("quarantined".to_string(), Json::from(d.quarantined)));
-    Json::Obj(entries)
+    let holdout = d.holdout.as_ref().map(|h| {
+        Json::obj([
+            ("mean_pct", Json::Float(h.mean_pct)),
+            ("max_pct", Json::Float(h.max_pct)),
+            ("std_pct", Json::Float(h.std_pct)),
+        ])
+    });
+    let regions = d.regions.iter().map(|r| {
+        Json::obj([
+            ("leaf", Json::from(r.leaf)),
+            ("count", Json::from(r.count)),
+            ("mean_abs_pct", Json::Float(r.mean_abs_pct)),
+            ("max_abs_pct", Json::Float(r.max_abs_pct)),
+        ])
+    });
+    Json::obj([
+        ("holdout", Json::from(holdout)),
+        ("regions", Json::Arr(regions.collect())),
+        ("centers", Json::from(d.centers)),
+        ("p_min", Json::from(d.p_min)),
+        ("alpha", Json::Float(d.alpha)),
+        ("aicc", Json::Float(d.aicc)),
+        ("train_sse", Json::Float(d.train_sse)),
+        ("discrepancy", Json::Float(d.discrepancy)),
+        ("quarantined", Json::from(d.quarantined)),
+    ])
 }
 
 /// The `ppm report` command: compares a candidate ledger against a
@@ -231,8 +221,7 @@ pub fn bench_export(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), Cli
             .to_string(),
         created_unix_ms: header
             .get("created_unix_ms")
-            .and_then(Json::as_i64)
-            .map(|v| v.max(0) as u64)
+            .and_then(Json::as_u64)
             .unwrap_or(0),
     };
     ppm_obs::write_bench(Path::new(out_path), &record)

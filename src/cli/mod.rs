@@ -1,25 +1,8 @@
-//! The `ppm` command-line interface.
-//!
-//! ```text
-//! ppm benchmarks                          list the workload surrogates
-//! ppm simulate  --benchmark mcf [config]  run one detailed simulation
-//! ppm build     --benchmark mcf --out m.txt [--sample 90] [--metric cpi]
-//!               [--train-threads N] [--lhs-candidates N]
-//!               [--checkpoint j.txt [--resume]]
-//! ppm predict   --model m.txt [config]    evaluate a saved model
-//! ppm screen    --benchmark mcf           Plackett-Burman screening
-//! ppm firstorder --benchmark mcf [config] analytical CPI estimate
-//! ```
-//!
-//! Configuration flags (all optional, defaults are the mid-range
-//! machine): `--depth N --rob N --iq F --lsq F --l2-kb N --l2-lat N
-//! --il1-kb N --dl1-kb N --dl1-lat N`, plus `--instructions N` for the
-//! trace length and `--seed N`.
-//!
-//! Observability flags, accepted by every command: `--quiet` (no
-//! stderr progress), `--trace` (nested span tracing on stderr; the
-//! `PPM_TRACE` environment variable does the same), and
-//! `--metrics-out <file>` (JSON-lines telemetry export).
+//! The `ppm` command-line interface. [`USAGE`] (`ppm help`) documents
+//! every command and flag; each command accepts exactly the flags its
+//! row of the parser's table lists, plus the observability flags
+//! (`--quiet`, `--trace`, `--metrics-out`, ...) that every command
+//! shares. Anything else is a usage error (exit code 2).
 //!
 //! The flight recorder rides along on every substantive command: a
 //! `ppm-ledger v1` run manifest lands in `results/runs/` (`--ledger-out`

@@ -450,12 +450,12 @@ fn trace_ring_concurrent_writers_lose_no_unconditional_keeps() {
     }
 
     let ring = TraceRing::new(
+        &ppm_telemetry::Registry::new(),
         TraceConfig {
             capacity: 1024,
             sample_one_in: 2,
             slow_keep: 4,
         },
-        &ppm_telemetry::Registry::new(),
     );
     let shed_filter = || TraceFilter {
         outcome: Some(TraceOutcome::Shed),

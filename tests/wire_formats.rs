@@ -187,10 +187,8 @@ fn statusz_body_schema_is_pinned() {
 
 #[test]
 fn tracez_document_schema_is_pinned() {
-    let ring = ppm_serve::TraceRing::new(
-        ppm_serve::TraceConfig::default(),
-        &ppm_telemetry::Registry::new(),
-    );
+    let registry = ppm_telemetry::Registry::new();
+    let ring = ppm_serve::TraceRing::new(&registry, ppm_serve::TraceConfig::default());
     let text = ring.render_tracez(&ppm_serve::TraceFilter::default());
     assert!(
         schema_of(&text).as_deref() == Some("ppm-tracez v1"),
@@ -298,16 +296,18 @@ const GOLDEN_TRACE_7: &str = "{\"id\":\"ppm-000000000007\",\"seq\":7,\"route\":\
 fn tracez_record_and_filtered_document_bytes_are_golden() {
     use ppm_serve::{TraceConfig, TraceFilter, TraceOutcome, TraceRing};
     assert_eq!(
-        golden_trace(7, TraceOutcome::DeadlineExpired).to_json(),
+        golden_trace(7, TraceOutcome::DeadlineExpired)
+            .to_json()
+            .dump(),
         GOLDEN_TRACE_7
     );
     let ring = TraceRing::new(
+        &ppm_telemetry::Registry::new(),
         TraceConfig {
             capacity: 16,
             sample_one_in: 1,
             slow_keep: 0,
         },
-        &ppm_telemetry::Registry::new(),
     );
     ring.offer(golden_trace(4, TraceOutcome::Shed));
     ring.offer(golden_trace(5, TraceOutcome::DeadlineExpired));
