@@ -789,69 +789,48 @@ fn tracez(
     let Some(ring) = &state.trace else {
         return plain(200, JSON, render_tracez_disabled());
     };
-    let mut filter = TraceFilter::default();
-    let mut chrome = false;
-    for (key, value) in pairs {
-        match *key {
-            "outcome" => match TraceOutcome::parse(value) {
-                Some(o) => filter.outcome = Some(o),
-                None => {
-                    let (s, ct, b) = bad_request(&format!("unknown outcome {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "min_ms" => match value.parse::<u64>() {
-                Ok(ms) => filter.min_us = Some(ms.saturating_mul(1000)),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("min_ms wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "min_us" => match value.parse::<u64>() {
-                Ok(us) => filter.min_us = Some(us),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("min_us wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "id_prefix" => filter.id_prefix = Some((*value).to_string()),
-            "since_seq" => match value.parse::<u64>() {
-                Ok(seq) => filter.since_seq = Some(seq),
-                Err(_) => {
-                    let (s, ct, b) =
-                        bad_request(&format!("since_seq wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "limit" => match value.parse::<usize>() {
-                Ok(n) => filter.limit = Some(n),
-                Err(_) => {
-                    let (s, ct, b) = bad_request(&format!("limit wants an integer, got {value:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            "format" => match *value {
-                "chrome" => chrome = true,
-                "json" => chrome = false,
-                other => {
-                    let (s, ct, b) =
-                        bad_request(&format!("format wants json or chrome, got {other:?}"));
-                    return (s, ct, b, TraceOutcome::Ok, String::new());
-                }
-            },
-            other => {
-                let (s, ct, b) = bad_request(&format!("unknown parameter {other:?}"));
-                return (s, ct, b, TraceOutcome::Ok, String::new());
-            }
+    match tracez_query(pairs) {
+        Ok((filter, false)) => plain(200, JSON, ring.render_tracez(&filter)),
+        Ok((filter, true)) => plain(200, JSON, chrome_export(&ring.snapshot(&filter))),
+        Err(detail) => {
+            let (s, ct, b) = bad_request(&detail);
+            (s, ct, b, TraceOutcome::Ok, String::new())
         }
     }
-    if chrome {
-        plain(200, JSON, chrome_export(&ring.snapshot(&filter)))
-    } else {
-        plain(200, JSON, ring.render_tracez(&filter))
+}
+
+/// Parses `/tracez`'s query string into a filter plus whether the
+/// Chrome-trace format was asked for.
+fn tracez_query(pairs: &[(&str, &str)]) -> Result<(TraceFilter, bool), String> {
+    fn int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{key} wants an integer, got {value:?}"))
     }
+    let mut filter = TraceFilter::default();
+    let mut chrome = false;
+    for &(key, value) in pairs {
+        match key {
+            "outcome" => {
+                let outcome = TraceOutcome::parse(value);
+                filter.outcome = Some(outcome.ok_or_else(|| format!("unknown outcome {value:?}"))?);
+            }
+            "min_ms" => filter.min_us = Some(int::<u64>(key, value)?.saturating_mul(1000)),
+            "min_us" => filter.min_us = Some(int(key, value)?),
+            "id_prefix" => filter.id_prefix = Some(value.to_string()),
+            "since_seq" => filter.since_seq = Some(int(key, value)?),
+            "limit" => filter.limit = Some(int(key, value)?),
+            "format" => {
+                chrome = match value {
+                    "chrome" => true,
+                    "json" => false,
+                    other => return Err(format!("format wants json or chrome, got {other:?}")),
+                }
+            }
+            other => return Err(format!("unknown parameter {other:?}")),
+        }
+    }
+    Ok((filter, chrome))
 }
 
 /// Renders trace records through the `ppm-obs` Chrome-trace writer:
@@ -1405,6 +1384,15 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = http_get(&addr, "/reloadz", IO_TIMEOUT).unwrap();
         assert_eq!(status, 405, "reloadz is POST-only");
+        for (query, detail) in [
+            ("limit=x", "limit wants an integer"),
+            ("outcome=late", "unknown outcome"),
+            ("format=xml", "format wants json or chrome"),
+            ("bogus=1", "unknown parameter"),
+        ] {
+            let (status, body) = http_get(&addr, &format!("/tracez?{query}"), IO_TIMEOUT).unwrap();
+            assert!(status == 400 && body.contains(detail), "{query}: {body}");
+        }
     }
 
     #[test]

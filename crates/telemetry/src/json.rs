@@ -1,10 +1,12 @@
 //! The workspace's one JSON codec: a document model with a parser, a
 //! compact serializer, and the string escaper.
 //!
-//! Every JSON byte the workspace writes goes through [`quote_into`]:
-//! the telemetry JSONL lines and `/eventz` documents, the live plane's
-//! and the serving plane's hand-rolled bodies, and [`Json::dump`] for
-//! the flight recorder's ledgers, bench files and reports. Reading back
+//! Documents are built as [`Json`] values and written with
+//! [`Json::dump`]: telemetry's JSONL event and span lines, `/eventz`,
+//! `/tracez`, `/buildz`, ledgers, bench files and reports. The bodies
+//! still formatted by hand (JSONL metric lines, the serving plane's
+//! `/predict`, `/statusz` and error bodies) quote their strings with
+//! [`quote`]/[`quote_into`], the escaper `dump` uses. Reading back
 //! (ledgers for the regression sentry, trace files for validation,
 //! scraped documents in `ppm top`/`ppm tail`) is a hand-rolled
 //! recursive-descent parser. Zero dependencies, like everything else in
