@@ -6,7 +6,7 @@
 //! `/tracez`, `/buildz`, ledgers, bench files and reports. The bodies
 //! still formatted by hand (JSONL metric lines, the serving plane's
 //! `/predict`, `/statusz` and error bodies) quote their strings with
-//! [`quote`]/[`quote_into`], the escaper `dump` uses. Reading back
+//! [`quote`], the escaper `dump` uses. Reading back
 //! (ledgers for the regression sentry, trace files for validation,
 //! scraped documents in `ppm top`/`ppm tail`) is a hand-rolled
 //! recursive-descent parser. Zero dependencies, like everything else in
@@ -245,10 +245,8 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-/// Appends `v` to `s` as a quoted JSON string: `"` and `\` are
-/// backslash-escaped, `\n`, `\r` and `\t` use their shorthands, and
-/// every other control character is written as `\u00XX`.
-pub fn quote_into(s: &mut String, v: &str) {
+/// Appends `v` to `s` as a quoted JSON string (see [`quote`]).
+pub(crate) fn quote_into(s: &mut String, v: &str) {
     s.push('"');
     for c in v.chars() {
         match c {
@@ -266,7 +264,9 @@ pub fn quote_into(s: &mut String, v: &str) {
     s.push('"');
 }
 
-/// `v` as a quoted JSON string (see [`quote_into`]).
+/// `v` as a quoted JSON string: `"` and `\` are backslash-escaped,
+/// `\n`, `\r` and `\t` use their shorthands, and every other control
+/// character is written as `\u00XX`.
 pub fn quote(v: &str) -> String {
     let mut s = String::with_capacity(v.len() + 2);
     quote_into(&mut s, v);

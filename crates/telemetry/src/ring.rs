@@ -56,7 +56,7 @@ impl<T> Ring<T> {
     /// Appends the item `make` builds from its lifetime sequence number
     /// (0 = the first item ever pushed), evicting the oldest item when
     /// the ring is full. Returns true when an item was evicted.
-    pub fn push_with(&self, make: impl FnOnce(u64) -> T) -> bool {
+    pub(crate) fn push_with(&self, make: impl FnOnce(u64) -> T) -> bool {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let seq = slots.next_seq;
         slots.next_seq += 1;
@@ -69,7 +69,8 @@ impl<T> Ring<T> {
         evict
     }
 
-    /// Appends `item` (see [`Ring::push_with`]).
+    /// Appends `item`, evicting the oldest item when the ring is full.
+    /// Returns true when an item was evicted.
     pub fn push(&self, item: T) -> bool {
         self.push_with(|_| item)
     }
@@ -89,7 +90,7 @@ impl<T> Ring<T> {
     }
 
     /// How many items have been evicted to honour the capacity bound.
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.slots
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

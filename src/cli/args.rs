@@ -221,7 +221,7 @@ impl Parsed {
     /// # Errors
     ///
     /// [`ArgError::MissingAddress`] when there is none.
-    pub fn address(&self) -> Result<String, ArgError> {
+    pub(crate) fn address(&self) -> Result<String, ArgError> {
         self.positionals
             .first()
             .cloned()
