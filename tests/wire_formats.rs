@@ -239,19 +239,19 @@ fn jsonl_event_line_bytes_are_golden() {
         name: "rbf.cell".to_string(),
         level: ppm_telemetry::Level::Info,
         fields: vec![
-            ("p_min".to_string(), 2.0f64.into()),
-            ("alpha".to_string(), 0.5f64.into()),
+            ("p_min".to_string(), 2usize.into()),
+            ("alpha".to_string(), 7.0f64.into()),
             ("score".to_string(), (-41.25f64).into()),
             ("centers".to_string(), 7usize.into()),
         ],
         depth: 2,
     };
-    // Float fields keep a decimal point, so an integral `p_min` reads
-    // `2.0` and stays a float when the line is parsed back.
+    // Float fields keep a decimal point, so an integral `alpha` reads
+    // `7.0` and stays a float when the line is parsed back.
     assert_eq!(
         rec.to_json_line(),
         "{\"t\":\"event\",\"name\":\"rbf.cell\",\"level\":\"info\",\"depth\":2,\
-         \"fields\":{\"p_min\":2.0,\"alpha\":0.5,\"score\":-41.25,\"centers\":7}}"
+         \"fields\":{\"p_min\":2,\"alpha\":7.0,\"score\":-41.25,\"centers\":7}}"
     );
     assert_eq!(
         golden_event().to_json_line(),
