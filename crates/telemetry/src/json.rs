@@ -510,6 +510,12 @@ mod tests {
             "\"\\u0008\\u000c\\u0001\\u001f\""
         );
         assert_eq!(quote("αβ→é"), "\"αβ→é\"");
+        // Every control character leaves as an escape and parses back.
+        for c in (0u8..0x20).map(char::from) {
+            let text = quote(&format!("a{c}b"));
+            assert!(!text.chars().any(char::is_control), "{text:?}");
+            assert_eq!(Json::parse(&text), Ok(Json::Str(format!("a{c}b"))));
+        }
     }
 
     #[test]

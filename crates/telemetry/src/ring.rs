@@ -235,6 +235,7 @@ mod tests {
         assert_eq!(events[0].seq, 1);
         assert_eq!(events[1].seq, 2);
         assert!(events[1].at_us >= events[0].at_us);
+        assert_eq!(EventRing::new(0).capacity(), 1);
     }
 
     #[test]
@@ -250,19 +251,6 @@ mod tests {
             parent: None,
         });
         assert!(ring.events().is_empty());
-    }
-
-    #[test]
-    fn ring_counts_sequence_and_evictions() {
-        let ring = Ring::new(0); // clamped to 1
-        assert_eq!(ring.capacity(), 1);
-        assert!(ring.is_empty());
-        assert!(!ring.push_with(|seq| seq));
-        assert!(ring.push(10));
-        assert!(ring.push_with(|seq| seq));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.snapshot(|_| true), (vec![2], 2));
-        assert_eq!(ring.snapshot(|v| *v > 2), (vec![], 2));
     }
 
     #[test]

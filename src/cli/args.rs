@@ -334,20 +334,9 @@ mod tests {
 
     #[test]
     fn flags_outside_the_command_table_are_rejected() {
-        assert_eq!(
-            parse(&["simulate", "--robb", "3"]),
-            Err(ArgError::UnknownFlag {
-                command: "simulate".into(),
-                flag: "--robb".into()
-            })
-        );
         // Flags are per command: `build` reads no machine configuration
         // and `--once` is a switch of `top` and `tail` only.
-        for args in [
-            &["lint", "--rules", "nonsense"][..],
-            &["build", "--rob", "96"],
-            &["build", "--once"],
-        ] {
+        for args in [&["build", "--rob", "96"][..], &["build", "--once"]] {
             assert!(
                 matches!(parse(args), Err(ArgError::UnknownFlag { .. })),
                 "{args:?}"

@@ -1358,38 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_pool_bounds_are_usage_errors_before_anything_starts() {
-        // Each value is rejected before the registry opens, the address
-        // binds or a thread spawns: the unroutable address and missing
-        // registry would otherwise fail with exit code 8.
-        let too_many = (ppm_exec::MAX_THREADS + 1).to_string();
-        let too_deep = (ppm_serve::MAX_QUEUE_PER_WORKER + 1).to_string();
-        for (flag, value) in [
-            ("--workers", "0"),
-            ("--workers", too_many.as_str()),
-            ("--workers", "18446744073709551615"),
-            ("--queue", too_deep.as_str()),
-            ("--queue", "18446744073709551615"),
-        ] {
-            let err = run_cli(&[
-                "serve",
-                "256.0.0.1:1",
-                "--registry",
-                "/nonexistent/ppm-registry",
-                flag,
-                value,
-            ])
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{flag} {value}: {err}");
-            assert!(err.to_string().contains(flag), "{err}");
-        }
-        // The usage text documents the same bounds.
-        let usage = crate::cli::USAGE;
-        assert!(usage.contains(&format!("1..{}", ppm_exec::MAX_THREADS)));
-        assert!(usage.contains(&format!("at most {}", ppm_serve::MAX_QUEUE_PER_WORKER)));
-    }
-
-    #[test]
     fn serve_on_an_empty_registry_without_fallback_exits_8() {
         let dir = std::env::temp_dir().join("ppm_cli_serve_empty_reg");
         std::fs::create_dir_all(&dir).unwrap();

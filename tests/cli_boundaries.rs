@@ -1,6 +1,7 @@
-//! Boundary values at the CLI: out-of-range numeric flags are usage
-//! errors (exit 2) with a message, never a library assert (exit 101),
-//! and `--help` prints the usage text. Drives the built binary
+//! Boundary values at the CLI: out-of-range numeric flags and flags a
+//! command does not accept are usage errors (exit 2) with a message
+//! naming the flag, never a library assert (exit 101) or a silently
+//! ignored typo, and `--help` prints the usage text. Drives the built binary
 //! (`CARGO_BIN_EXE_ppm`), so the exit codes are the ones scripts see.
 
 use std::process::Command;
@@ -20,6 +21,18 @@ fn boundary_values_exit_with_documented_codes_and_never_panic() {
         ("firstorder --benchmark mcf --instructions 0", 2),
         ("workload-info --benchmark mcf --instructions 0", 2),
         ("analyze", 2),
+        ("lint --rules nonsense", 2),
+        ("simulate --benchmark mcf --robb 3", 2),
+        // Serve pool bounds, rejected before the registry opens, the
+        // address binds or a thread spawns (else: exit 8 on the missing
+        // registry). 257 and 1025 are one past the documented maxima.
+        ("serve 256.0.0.1:1 --registry /nonexistent --workers 0", 2),
+        ("serve 256.0.0.1:1 --registry /nonexistent --workers 257", 2),
+        ("serve 256.0.0.1:1 --registry /nonexistent --queue 1025", 2),
+        (
+            "serve 256.0.0.1:1 --registry /nonexistent --queue 18446744073709551615",
+            2,
+        ),
         ("--help", 0),
         ("simulate --help", 0),
     ];
@@ -38,30 +51,19 @@ fn boundary_values_exit_with_documented_codes_and_never_panic() {
             assert!(stdout.contains("USAGE"), "ppm {args}: {stdout}");
         } else {
             assert!(stderr.starts_with("error: "), "ppm {args}: {stderr}");
+            // The message names the flag it rejects: the last one given.
+            if let Some(flag) = args.split_whitespace().rfind(|a| a.starts_with("--")) {
+                assert!(stderr.contains(flag), "ppm {args}: {stderr}");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn unknown_flags_are_usage_errors_that_name_the_flag() {
-    for (args, flag) in [
-        ("lint --rules nonsense", "--rules"),
-        ("simulate --benchmark mcf --robb 3", "--robb"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_ppm"))
-            .args(args.split_whitespace())
-            .args(["--no-ledger", "--quiet"])
-            .output()
-            .expect("run ppm");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "ppm {args}: {stderr}");
-        assert!(
-            stderr.starts_with("error: ") && stderr.contains(flag),
-            "ppm {args}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "ppm {args} ran anyway");
-    }
+    // The serve pool bounds the usage text documents are the enforced ones.
+    assert_eq!(
+        (ppm_exec::MAX_THREADS, ppm_serve::MAX_QUEUE_PER_WORKER),
+        (256, 1024)
+    );
+    assert!(ppm::cli::USAGE.contains("1..256") && ppm::cli::USAGE.contains("at most 1024"));
 }
 
 #[test]

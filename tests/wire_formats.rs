@@ -58,10 +58,25 @@ fn checkpoint_header_is_pinned() {
 
 #[test]
 fn eventz_document_schema_is_pinned() {
+    use ppm_telemetry::Sink;
     let text = ppm_telemetry::EventRing::new(4).render_json();
     assert!(
         schema_of(&text).as_deref() == Some("ppm-eventz v1"),
         "{text}"
+    );
+    // Byte golden: one eviction, and a string field holding every
+    // escaping class.
+    let mut ring = ppm_telemetry::EventRing::new(1);
+    ring.record(&golden_event());
+    ring.record(&golden_event());
+    let at_us = ring.events()[0].at_us;
+    assert_eq!(
+        ring.render_json(),
+        format!(
+            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":1,\"dropped\":1,\"events\":[\
+             {{\"seq\":1,\"at_us\":{at_us},\"level\":\"warn\",\"name\":\"golden.evt\",\
+             \"fields\":{{\"s\":\"q\\\"b\\\\s\\n\\u0001\",\"n\":3}}}}]}}"
+        )
     );
 }
 
@@ -187,9 +202,14 @@ fn statusz_body_schema_is_pinned() {
 
 #[test]
 fn tracez_document_schema_is_pinned() {
-    let registry = ppm_telemetry::Registry::new();
-    let ring = ppm_serve::TraceRing::new(&registry, ppm_serve::TraceConfig::default());
-    let text = ring.render_tracez(&ppm_serve::TraceFilter::default());
+    use ppm_serve::{TraceConfig, TraceFilter, TraceOutcome, TraceRing};
+    let config = TraceConfig {
+        capacity: 16,
+        sample_one_in: 1,
+        slow_keep: 0,
+    };
+    let ring = TraceRing::new(&ppm_telemetry::Registry::new(), config);
+    let text = ring.render_tracez(&TraceFilter::default());
     assert!(
         schema_of(&text).as_deref() == Some("ppm-tracez v1"),
         "{text}"
@@ -199,6 +219,29 @@ fn tracez_document_schema_is_pinned() {
     assert!(
         schema_of(&disabled).as_deref() == Some("ppm-tracez v1"),
         "{disabled}"
+    );
+    // Byte goldens: one record, then a filtered document over four.
+    let record = golden_trace(7, TraceOutcome::DeadlineExpired);
+    assert_eq!(record.to_json().dump(), GOLDEN_TRACE_7);
+    for (seq, outcome) in [
+        (4, TraceOutcome::Shed),
+        (5, TraceOutcome::DeadlineExpired),
+        (6, TraceOutcome::Shed),
+        (7, TraceOutcome::DeadlineExpired),
+    ] {
+        ring.offer(golden_trace(seq, outcome));
+    }
+    let filter = TraceFilter {
+        outcome: Some(TraceOutcome::DeadlineExpired),
+        limit: Some(1),
+        ..TraceFilter::default()
+    };
+    assert_eq!(
+        ring.render_tracez(&filter),
+        format!(
+            "{{\"schema\":\"ppm-tracez v1\",\"enabled\":true,\"capacity\":16,\
+             \"retained\":4,\"records\":[{GOLDEN_TRACE_7}]}}"
+        )
     );
 }
 
@@ -214,23 +257,6 @@ fn golden_event() -> ppm_telemetry::Record {
         ],
         depth: 1,
     }
-}
-
-#[test]
-fn eventz_document_bytes_are_golden() {
-    use ppm_telemetry::Sink;
-    let mut ring = ppm_telemetry::EventRing::new(1);
-    ring.record(&golden_event());
-    ring.record(&golden_event());
-    let at_us = ring.events()[0].at_us;
-    assert_eq!(
-        ring.render_json(),
-        format!(
-            "{{\"schema\":\"ppm-eventz v1\",\"capacity\":1,\"dropped\":1,\"events\":[\
-             {{\"seq\":1,\"at_us\":{at_us},\"level\":\"warn\",\"name\":\"golden.evt\",\
-             \"fields\":{{\"s\":\"q\\\"b\\\\s\\n\\u0001\",\"n\":3}}}}]}}"
-        )
-    );
 }
 
 #[test]
@@ -291,52 +317,3 @@ const GOLDEN_TRACE_7: &str = "{\"id\":\"ppm-000000000007\",\"seq\":7,\"route\":\
      \"worker\":null,\"total_us\":5007,\"unix_ms\":1700000000000,\"spans\":[\
      {\"name\":\"accept\",\"start_us\":0,\"dur_us\":1},\
      {\"name\":\"eval\",\"start_us\":1,\"dur_us\":4999}]}";
-
-#[test]
-fn tracez_record_and_filtered_document_bytes_are_golden() {
-    use ppm_serve::{TraceConfig, TraceFilter, TraceOutcome, TraceRing};
-    assert_eq!(
-        golden_trace(7, TraceOutcome::DeadlineExpired)
-            .to_json()
-            .dump(),
-        GOLDEN_TRACE_7
-    );
-    let ring = TraceRing::new(
-        &ppm_telemetry::Registry::new(),
-        TraceConfig {
-            capacity: 16,
-            sample_one_in: 1,
-            slow_keep: 0,
-        },
-    );
-    ring.offer(golden_trace(4, TraceOutcome::Shed));
-    ring.offer(golden_trace(5, TraceOutcome::DeadlineExpired));
-    ring.offer(golden_trace(6, TraceOutcome::Shed));
-    ring.offer(golden_trace(7, TraceOutcome::DeadlineExpired));
-    let filter = TraceFilter {
-        outcome: Some(TraceOutcome::DeadlineExpired),
-        limit: Some(1),
-        ..TraceFilter::default()
-    };
-    assert_eq!(
-        ring.render_tracez(&filter),
-        format!(
-            "{{\"schema\":\"ppm-tracez v1\",\"enabled\":true,\"capacity\":16,\
-             \"retained\":4,\"records\":[{GOLDEN_TRACE_7}]}}"
-        )
-    );
-}
-
-#[test]
-fn every_control_character_round_trips_through_the_escaper() {
-    for code in 0u32..0x20 {
-        let c = char::from_u32(code).expect("ASCII control character");
-        let original = Json::Str(format!("a{c}b"));
-        let text = original.dump();
-        assert!(
-            text.chars().all(|ch| (ch as u32) >= 0x20),
-            "raw control character {code:#04x} in {text:?}"
-        );
-        assert_eq!(Json::parse(&text), Ok(original), "{code:#04x}: {text}");
-    }
-}
