@@ -215,10 +215,9 @@ fn tracez_document_schema_is_pinned() {
         "{text}"
     );
     assert!(ppm_serve::TRACEZ_SCHEMA == "ppm-tracez v1");
-    let disabled = ppm_serve::trace::render_tracez_disabled();
-    assert!(
-        schema_of(&disabled).as_deref() == Some("ppm-tracez v1"),
-        "{disabled}"
+    assert_eq!(
+        ppm_serve::trace::render_tracez_disabled(),
+        "{\"schema\":\"ppm-tracez v1\",\"enabled\":false,\"capacity\":0,\"retained\":0,\"records\":[]}"
     );
     // Byte goldens: one record, then a filtered document over four.
     let record = golden_trace(7, TraceOutcome::DeadlineExpired);
