@@ -85,6 +85,10 @@ macro_rules! config_flags {
     };
 }
 
+/// The configuration flags as one list, for `ppm simulate --batch`,
+/// which draws its own configurations and so rejects them.
+pub(crate) const CONFIG_FLAGS: &str = config_flags!();
+
 /// The workload surrogate and its trace.
 macro_rules! workload_flags {
     () => {

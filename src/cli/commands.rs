@@ -15,7 +15,7 @@ use ppm_firstorder::{FirstOrderModel, ProgramStats};
 use ppm_sim::{estimate_energy, EnergyParams, Processor, SimConfig};
 use ppm_workload::{Benchmark, TraceGenerator};
 
-use crate::cli::args::{ArgError, Parsed};
+use crate::cli::args::{ArgError, Parsed, CONFIG_FLAGS};
 use crate::cli::flight::{self, RunArtifacts};
 
 /// Errors surfaced to the CLI user, categorized so the process exit
@@ -629,6 +629,14 @@ fn simulate(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
 /// (`stage.simulate_batch` / `stage.simulate_serial`) so the speedup is
 /// diffable by the regression sentry.
 fn simulate_batch(parsed: &Parsed, out: &mut dyn fmt::Write) -> Result<(), CliError> {
+    // Lanes are sampled and report no energy: refuse what would be dropped.
+    for flag in CONFIG_FLAGS.split_whitespace().chain(["--energy"]) {
+        if parsed.get(flag).is_some() || parsed.switch(flag) {
+            return Err(CliError::Usage(format!(
+                "--batch samples its own configurations and reports no energy; drop {flag}"
+            )));
+        }
+    }
     let bench = benchmark_arg(parsed)?;
     let lanes: usize = parsed.num("--batch", 0usize)?;
     if lanes < 2 {

@@ -114,7 +114,8 @@ OTHER FLAGS:
                       built model is identical for any value)
   --energy            also report the energy estimate (simulate)
   --batch <n>         simulate an n-point Latin-hypercube sample of the
-                      Table 1 space in one batched trace pass (simulate)
+                      Table 1 space in one batched trace pass (simulate;
+                      no config flags or --energy alongside it)
 
 FAULT-TOLERANCE FLAGS (`build`):
   --checkpoint <f>    journal completed simulations to <f> (crash-safe)

@@ -13,6 +13,8 @@ fn boundary_values_exit_with_documented_codes_and_never_panic() {
     // (arguments, expected exit code)
     let cases: &[(&str, i32)] = &[
         ("simulate --benchmark mcf --batch 1", 2),
+        ("simulate --benchmark mcf --batch 2 --rob 64", 2),
+        ("simulate --benchmark mcf --batch 2 --energy", 2),
         ("build --benchmark mcf --out m --sample 0", 2),
         ("build --benchmark mcf --out m --sample 1", 2),
         ("simulate --benchmark mcf --instructions 0", 2),
