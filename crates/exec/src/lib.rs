@@ -44,7 +44,7 @@ mod pool;
 mod service;
 
 pub use pool::{ExecError, Executor};
-pub use service::{ServicePool, SubmitError};
+pub use service::{pool_workers, ServicePool, SubmitError};
 
 use std::error::Error;
 use std::fmt;

@@ -48,6 +48,11 @@ impl<T> SubmitError<T> {
     }
 }
 
+/// Threads a [`ServicePool`] spawns for `requested`: at most `MAX_THREADS`.
+pub fn pool_workers(requested: usize) -> usize {
+    requested.min(crate::MAX_THREADS)
+}
+
 /// A fixed pool of long-running workers behind bounded per-worker
 /// queues. See the module docs for the design.
 ///
@@ -130,7 +135,7 @@ impl<T: Send + 'static> ServicePool<T> {
         if workers == 0 || queue_per_worker == 0 {
             return Err(ExecError::ZeroThreads);
         }
-        let workers = workers.min(crate::MAX_THREADS);
+        let workers = pool_workers(workers);
         let depth = Arc::new(AtomicUsize::new(0));
         let mut shards = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);

@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use ppm_core::fault::{FaultPlan, InjectedFault};
 use ppm_core::space::DesignSpace;
-use ppm_exec::{ServicePool, SubmitError};
+use ppm_exec::{pool_workers, ServicePool, SubmitError};
 use ppm_live::http::{
     read_request_head, split_query, write_response, write_response_with_headers, MAX_HEAD,
 };
@@ -291,11 +291,10 @@ impl ServeServer {
             detail: e.to_string(),
         })?;
         let stop = Arc::new(AtomicBool::new(false));
-        // What the pool below spawns: `ServicePool` clamps to
-        // MAX_THREADS, and the shed-all drill spawns nothing.
+        // What the pool below spawns; the shed-all drill spawns nothing.
         let workers = match config.queue_per_worker {
             0 => 0,
-            _ => config.workers.min(ppm_exec::MAX_THREADS),
+            _ => pool_workers(config.workers),
         };
         let metrics = Registry::new();
         let counters = Counters::resolve(&metrics);
@@ -1464,14 +1463,11 @@ mod tests {
         };
         // A record is offered after its response is written: poll until
         // the last one is counted.
-        let mut counts = trace_counts(&addr);
-        for _ in 0..200 {
-            if counts[0] >= 10 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            counts = trace_counts(&addr);
-        }
+        let counts = std::iter::repeat_with(|| trace_counts(&addr))
+            .take(200)
+            .inspect(|_| std::thread::sleep(Duration::from_millis(10)))
+            .find(|counts| counts[0] >= 10)
+            .unwrap_or_else(|| trace_counts(&addr));
         let [retained, sampled_out, evicted] = counts;
         assert!(
             retained == 10 && evicted >= 2 && sampled_out >= 6,
