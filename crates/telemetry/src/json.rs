@@ -2,11 +2,11 @@
 //! compact serializer, and the string escaper.
 //!
 //! Documents are built as [`Json`] values and written with
-//! [`Json::dump`]: telemetry's JSONL event and span lines, `/eventz`,
-//! `/tracez`, `/buildz`, ledgers, bench files and reports. The bodies
-//! still formatted by hand (JSONL metric lines, the serving plane's
-//! `/predict`, `/statusz` and error bodies) quote their strings with
-//! [`quote`], the escaper `dump` uses. Reading back
+//! [`Json::dump`]: JSONL span lines, `/eventz`, `/tracez`, `/buildz`,
+//! ledgers, bench files and reports. The rest (JSONL metric and event
+//! lines, the serving plane's `/predict`, `/statusz` and error bodies)
+//! is formatted by hand and quotes its strings with [`quote`], the
+//! escaper `dump` uses. Reading back
 //! (ledgers for the regression sentry, trace files for validation,
 //! scraped documents in `ppm top`/`ppm tail`) is a hand-rolled
 //! recursive-descent parser. Zero dependencies, like everything else in
@@ -102,18 +102,7 @@ impl Json {
                 }
                 s.push(']');
             }
-            Json::Obj(entries) => {
-                s.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    quote_into(s, k);
-                    s.push(':');
-                    v.dump_into(s);
-                }
-                s.push('}');
-            }
+            Json::Obj(entries) => obj_into(s, entries),
         }
     }
 
@@ -192,21 +181,22 @@ impl Json {
     }
 }
 
+/// Conversions that wrap the value in one variant as it is.
+macro_rules! wrap_from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self {
+                Json::$variant(v)
+            }
+        }
+    )*};
+}
+
+wrap_from!(String => Str, i64 => Int, f64 => Float, bool => Bool);
+
 impl From<&str> for Json {
     fn from(v: &str) -> Self {
         Json::Str(v.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
-    }
-}
-
-impl From<i64> for Json {
-    fn from(v: i64) -> Self {
-        Json::Int(v)
     }
 }
 
@@ -223,18 +213,6 @@ impl From<u64> for Json {
 impl From<usize> for Json {
     fn from(v: usize) -> Self {
         Json::from(v as u64)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::Float(v)
-    }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
     }
 }
 
@@ -262,6 +240,21 @@ pub(crate) fn quote_into(s: &mut String, v: &str) {
         }
     }
     s.push('"');
+}
+
+/// Appends `entries` as a JSON object: what [`Json::Obj`] of them
+/// dumps, for callers that hold the entries borrowed.
+pub(crate) fn obj_into(s: &mut String, entries: &[(String, Json)]) {
+    s.push('{');
+    for (i, (k, v)) in entries.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        quote_into(s, k);
+        s.push(':');
+        v.dump_into(s);
+    }
+    s.push('}');
 }
 
 /// `v` as a quoted JSON string: `"` and `\` are backslash-escaped,
@@ -411,9 +404,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         items.push(parse_value(bytes, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
+            Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
                 return Ok(Json::Arr(items));
@@ -446,9 +437,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
+            Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
                 return Ok(Json::Obj(entries));
@@ -464,7 +453,8 @@ mod tests {
 
     #[test]
     fn round_trips_nested_documents() {
-        let text = r#"{"a":[1,2.5,-3],"b":{"c":"x\"y","d":null,"e":true},"f":[]}"#;
+        let text =
+            r#"{"a":[1,2.5,-3],"b":{"c":"x\"y","d":null,"e":true},"f":[],"g":"C:\\p\"q\"\tr"}"#;
         let parsed = Json::parse(text).unwrap();
         assert_eq!(parsed.dump(), text);
     }
@@ -564,5 +554,6 @@ mod tests {
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(Json::Float(f64::NAN).dump(), "null");
         assert_eq!(Json::Float(f64::INFINITY).dump(), "null");
+        assert_eq!(Json::Float(f64::NEG_INFINITY).dump(), "null");
     }
 }

@@ -126,13 +126,13 @@ pub struct RingEvent {
 
 impl RingEvent {
     /// The event as one `ppm-eventz v1` JSON object.
-    pub fn to_json(&self) -> Json {
+    pub fn into_json(self) -> Json {
         Json::obj([
             ("seq", Json::from(self.seq)),
             ("at_us", Json::from(self.at_us)),
             ("level", Json::from(self.level.as_str())),
-            ("name", Json::from(self.name.as_str())),
-            ("fields", Json::Obj(self.fields.clone())),
+            ("name", Json::Str(self.name)),
+            ("fields", Json::Obj(self.fields)),
         ])
     }
 }
@@ -176,7 +176,7 @@ impl EventRing {
             ("dropped", Json::from(dropped)),
             (
                 "events",
-                Json::Arr(events.iter().map(RingEvent::to_json).collect()),
+                Json::Arr(events.into_iter().map(RingEvent::into_json).collect()),
             ),
         ])
         .dump()

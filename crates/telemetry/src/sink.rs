@@ -10,7 +10,7 @@
 use std::io::Write as IoWrite;
 use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
+use crate::json::{obj_into, quote, Json};
 use crate::registry::MetricRecord;
 
 /// How much a sink should say.
@@ -103,14 +103,16 @@ impl Record {
                 level,
                 fields,
                 depth,
-            } => Json::obj([
-                ("t", Json::from("event")),
-                ("name", Json::from(name.as_str())),
-                ("level", Json::from(level.as_str())),
-                ("depth", Json::from(*depth)),
-                ("fields", Json::Obj(fields.clone())),
-            ])
-            .dump(),
+            } => {
+                // The fields are written borrowed, not cloned into a tree.
+                let mut s = format!(
+                    "{{\"t\":\"event\",\"name\":{},\"level\":\"{level}\",\"depth\":{depth},\"fields\":",
+                    quote(name)
+                );
+                obj_into(&mut s, fields);
+                s.push('}');
+                s
+            }
             Record::Span {
                 name,
                 us,
